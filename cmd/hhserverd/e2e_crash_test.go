@@ -12,7 +12,6 @@ package main_test
 import (
 	"context"
 	"fmt"
-	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -190,10 +189,10 @@ func TestCrashGracefulDrain(t *testing.T) {
 	if err := s.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
+	// Wait for the reader to see the line before reaping: Wait closes
+	// the stdout pipe, dropping anything the reader has not consumed.
+	waitStdout(t, s, "final snapshot committed")
 	_ = s.cmd.Wait()
-	if out := s.stdoutText(); !strings.Contains(out, "final snapshot committed") {
-		t.Fatalf("drain did not report a final snapshot; stdout:\n%s", out)
-	}
 
 	s2 := bootServerd(t, cfgJSON, "-data-dir", dataDir)
 	waitHealthy(t, s2.base)

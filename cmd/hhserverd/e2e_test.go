@@ -17,6 +17,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -369,5 +370,24 @@ func TestE2EDynamicCreateAndPipe(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "req/") {
 		t.Errorf("hhmerge did not rank the server's string keys:\n%s", out)
+	}
+}
+
+// TestE2EEarlySIGTERMDrains sends SIGTERM the moment the listening line
+// prints — before the daemon has necessarily started serving. The
+// signal handler is installed before recovery, so the signal must
+// still produce a clean drain and exit status 0, never a kill by the
+// signal's default action.
+func TestE2EEarlySIGTERMDrains(t *testing.T) {
+	if testing.Short() {
+		t.Skip("e2e test skipped in -short mode")
+	}
+	s := bootServerd(t, `{"summaries": {"s": {"capacity": 64}}}`, "-data-dir", t.TempDir())
+	if err := s.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	waitStdout(t, s, "draining")
+	if err := s.cmd.Wait(); err != nil {
+		t.Fatalf("daemon did not exit cleanly after an early SIGTERM: %v\nstdout:\n%s", err, s.stdoutText())
 	}
 }

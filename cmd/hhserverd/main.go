@@ -80,6 +80,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: hhserverd [-addr host:port] [-wire-addr host:port] [-udp-addr host:port] [-data-dir dir] [-config serverd.json]")
 		os.Exit(2)
 	}
+	// Installed before recovery and before anything serves: a signal
+	// that arrives early waits in the buffered channel and drains once
+	// serving starts, instead of killing the daemon undrained.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 
 	var cfg registry.Config
 	if *cfgPath != "" {
@@ -161,8 +166,6 @@ func main() {
 	}
 	go func() { done <- srv.Serve(ln) }()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-done:
 		if err != nil && !errors.Is(err, http.ErrServerClosed) {

@@ -110,8 +110,11 @@ func readKeyAny[K comparable](br *bufio.Reader) (K, error) {
 // (WithConcurrent) Encode writes one consistent snapshot: an unsharded
 // ring is framed under the write lock (writers wait for the duration —
 // Encode is not on the lock-free read list), every other composition
-// encodes the pinned read snapshot. Sketch-backed summaries and key
-// types other than uint64 and string return ErrUnsupportedSummary.
+// encodes a read snapshot covering every write completed before the
+// call — never the bounded-stale fallback queries may serve, because a
+// durable snapshot pins its blob to the current WAL sequence.
+// Sketch-backed summaries and key types other than uint64 and string
+// return ErrUnsupportedSummary.
 func (s *summary[K]) Encode(w io.Writer) error {
 	if !s.be.mergeable() {
 		return fmt.Errorf("%w: %v is sketch-backed", ErrUnsupportedSummary, s.algo)
@@ -132,7 +135,7 @@ func (s *summary[K]) Encode(w io.Writer) error {
 			ct.gen.Add(1)
 			return err
 		}
-		be = ct.current()
+		be = ct.currentFresh()
 	}
 	if wb, ok := be.(*windowBackend[K]); ok {
 		return encodeWindow(w, s.algo, kind, wb)

@@ -21,10 +21,11 @@ package heavyhitters
 // the live structure through the same per-shard locking the write
 // path uses; concurrent readers that lose the rebuild race serve the
 // previous snapshot rather than wait, so a query's staleness is
-// bounded by the duration of the one in-flight rebuild. N() alone
-// opts out of that fallback: it waits for the in-flight rebuild
-// (currentFresh), so the reported mass is exact the moment writers
-// quiesce. A Reset draws
+// bounded by the duration of the one in-flight rebuild. N(), Encode
+// and merges opt out of that fallback: they wait for the in-flight
+// rebuild (currentFresh), so the reported mass is exact the moment
+// writers quiesce and an encoded or merged state covers every write
+// completed before the call. A Reset draws
 // a hard line through that allowance: snapshots are also labeled with
 // a reset era, and a reader never serves a snapshot from an earlier
 // era — post-Reset queries wait for a post-Reset rebuild instead of
@@ -453,6 +454,17 @@ func (s *concurrentSnapshot[K]) reset() { panic("heavyhitters: write through sna
 func pinned[K comparable](be backend[K]) backend[K] {
 	if t, ok := be.(*concurrentTier[K]); ok {
 		return t.current()
+	}
+	return be
+}
+
+// pinnedFresh is pinned for reads whose result must cover every write
+// completed before the call — merges and encodes, which feed durable
+// snapshots and cached union views: the concurrency tier waits for an
+// in-flight rebuild (currentFresh) instead of serving its predecessor.
+func pinnedFresh[K comparable](be backend[K]) backend[K] {
+	if t, ok := be.(*concurrentTier[K]); ok {
+		return t.currentFresh()
 	}
 	return be
 }

@@ -11,8 +11,10 @@
 // (internal/wire) routes frames into the same Entry ingest path the
 // HTTP handlers use.
 //
-// Queries answer over the union view — MergeSummaries of the live
-// summary and every pushed blob — cached per Entry and rebuilt
-// single-flight only when ingest advanced or a blob arrived; see
-// Entry.View for the exact consistency contract.
+// Queries answer over the union view — MergeSummaries of every pushed
+// blob in arrival order, then the live summary — cached per Entry and
+// rebuilt single-flight only when ingest advanced or a blob arrived.
+// Each blob is absorbed once, on arrival, into the entry's hh.Merger,
+// so a rebuild costs O(live counters) however many blobs arrived; see
+// Entry and Entry.View for the exact cost and consistency contract.
 package registry

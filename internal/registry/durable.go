@@ -332,25 +332,13 @@ func (e *Entry) capture() (persist.SummarySnapshot, error) {
 	// WAL records are already appended; the blob must cover them too).
 	e.live.Flush()
 	seq := e.walSeq.Load()
-	e.mergeMu.Lock()
-	src := e.live
-	if len(e.remotes) > 0 {
-		inputs := make([]hh.Summary[string], 0, len(e.remotes)+1)
-		if e.live.N() > 0 {
-			inputs = append(inputs, e.live)
-		}
-		inputs = append(inputs, e.remotes...)
-		merged, err := hh.MergeSummaries(e.capacity, inputs...)
-		if err != nil {
-			e.mergeMu.Unlock()
-			return persist.SummarySnapshot{}, err
-		}
-		src = merged
+	// src is either the live summary (concurrent tier: its Encode pins a
+	// snapshot covering every applied batch — ingest is quiesced anyway)
+	// or a private merge result; no further locking needed.
+	src, err := e.union()
+	if err != nil {
+		return persist.SummarySnapshot{}, err
 	}
-	e.mergeMu.Unlock()
-	// src is either the live summary (concurrent tier: reads are safe
-	// against nothing — ingest is quiesced anyway) or a private merge
-	// result; no further locking needed.
 	var buf bytes.Buffer
 	if err := src.Encode(&buf); err != nil {
 		return persist.SummarySnapshot{}, err

@@ -9,6 +9,7 @@ package registry
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"testing"
 
 	hh "repro"
@@ -134,5 +135,53 @@ func TestApplyRecordRouting(t *testing.T) {
 	}
 	if err := r.applyRecord(persist.Record{Kind: persist.KindBatch, Seq: 1, Name: []byte("s"), Body: []byte{0xFF}}); err == nil {
 		t.Fatal("malformed batch body accepted")
+	}
+}
+
+// TestSnapshotCoversConcurrentRebuild is the regression test for a lost
+// batch: a snapshot taken while a query's rebuild of the live summary's
+// read snapshot was in flight used to encode the previous read
+// snapshot, one batch short, under a WAL pin that already covered the
+// batch — so pruning dropped it from the next boot. Every committed
+// blob must carry exactly the ingested mass.
+func TestSnapshotCoversConcurrentRebuild(t *testing.T) {
+	const m, batch, rounds = 4096, 512, 200
+	r := newDurableRegistry(t, map[string]hh.Spec{"s": {Capacity: m}})
+	e, _ := r.Get("s")
+	keys := make([]string, batch)
+	short := 0
+	for round := 0; round < rounds; round++ {
+		for i := range keys {
+			keys[i] = fmt.Sprintf("k%d", (round*batch+i)%(2*m))
+		}
+		if err := e.IngestBatch(keys); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			if v, err := e.View(); err == nil {
+				v.Top(10)
+			}
+		}()
+		if _, err := r.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		<-done
+		_, _, blobs, err := r.store.LoadSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := hh.Decode[string](bytes.NewReader(blobs["s"]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := float64((round + 1) * batch); got.N() != want {
+			short++
+			t.Errorf("round %d: committed blob N = %v, want %v", round, got.N(), want)
+		}
+	}
+	if short > 0 {
+		t.Errorf("%d of %d snapshots lost acknowledged batches", short, rounds)
 	}
 }

@@ -35,8 +35,9 @@ type Config struct {
 	// MaxBodyBytes bounds the body of a single /update or /merge
 	// request; 0 means the 32 MiB default.
 	MaxBodyBytes int64 `json:"max_body_bytes,omitempty"`
-	// MaxBlobs bounds how many pushed blobs a summary keeps un-merged
-	// (see Entry's staleness/compaction notes); 0 means the default 64.
+	// MaxBlobs bounds how many pushed blobs a summary's union view
+	// merges flat before compacting them into one nested merge (see
+	// Entry's compaction notes); 0 means the default 64.
 	MaxBlobs int `json:"max_blobs,omitempty"`
 	// Durability, when set, arms crash recovery: ingest is written to a
 	// batch WAL before it is applied, periodic atomic snapshots bound
@@ -52,7 +53,8 @@ type Config struct {
 // DefaultMaxBodyBytes bounds request bodies when the config does not.
 const DefaultMaxBodyBytes = 32 << 20
 
-// DefaultMaxBlobs is the un-compacted pushed-blob bound per summary.
+// DefaultMaxBlobs is the per-summary pushed-blob count past which the
+// union view compacts.
 const DefaultMaxBlobs = 64
 
 // LoadConfig reads and parses a JSON config file, rejecting unknown
@@ -272,18 +274,22 @@ func (r *Registry) Uptime() time.Duration { return time.Since(r.start) }
 // Entry is one named summary: the live concurrently written structure
 // fed by /update, plus the blobs remote agents pushed via /merge.
 //
-// Queries answer over the union view — MergeSummaries of the live
-// summary and every pushed blob, exactly the in-process Section 6.2
-// merge, so Theorem 11 error metadata pushed over the wire survives
-// into query bounds unchanged. The view is cached and rebuilt only
-// when ingest advanced or a new blob arrived; while no blob has been
-// pushed, queries go straight to the live summary's lock-free
-// concurrent-tier reads. Pushed blobs are kept as decoded (so the view
-// always equals a single flat MergeSummaries over the original
-// inputs — never a nested re-merge, which would widen bounds by the
-// intermediate Δ-floors); past maxBlobs the oldest blobs are compacted
-// into one merged summary, trading exactly that widening for bounded
-// memory.
+// Queries answer over the union view — MergeSummaries of every pushed
+// blob, in arrival order, followed by the live summary — exactly the
+// in-process Section 6.2 merge, so Theorem 11 error metadata pushed
+// over the wire survives into query bounds unchanged. Each blob is
+// absorbed once, on arrival, into base (an hh.Merger), so a rebuild
+// clones that accumulated state and absorbs only the live summary:
+// O(live counters) per rebuild, O(blob counters) once per /merge, and
+// memory bounded by the capacity however many blobs arrive. The view
+// is cached and rebuilt only when ingest advanced or a new blob
+// arrived; while no blob has been pushed, queries go straight to the
+// live summary's lock-free concurrent-tier reads. The view is always
+// a single flat merge over the original inputs — never a nested
+// re-merge, which would widen bounds by the intermediate Δ-floors —
+// until maxBlobs blobs have accumulated: the next one compacts them
+// into one merged summary that seeds a fresh base, trading exactly
+// that widening.
 type Entry struct {
 	name      string
 	spec      hh.Spec
@@ -293,11 +299,13 @@ type Entry struct {
 	capacity  int
 	maxBlobs  int
 
-	// mergeMu guards remotes and remoteMass; mergeGen bumps per
-	// accepted blob (and compaction), versioning the cached view.
+	// mergeMu guards base (nil until the first blob), the number of
+	// inputs it holds, and remoteMass; mergeGen bumps per accepted blob
+	// (and compaction), versioning the cached view.
 	mergeMu    sync.Mutex
-	remotes    []hh.Summary[string] //hh:guardedby mergeMu
-	remoteMass float64              //hh:guardedby mergeMu
+	base       *hh.Merger[string] //hh:guardedby mergeMu
+	baseInputs int                //hh:guardedby mergeMu
+	remoteMass float64            //hh:guardedby mergeMu
 	mergeGen   atomic.Uint64
 
 	// view caches the merged union; viewMu single-flights rebuilds.
@@ -508,26 +516,35 @@ func (e *Entry) AbsorbBlob(r io.Reader) (float64, error) {
 	return e.absorbDecoded(s, true)
 }
 
-// absorbDecoded adds one decoded summary to the merge set, compacting
-// past maxBlobs. Shared by the /merge path and recovery's blob-record
+// absorbDecoded absorbs one decoded summary into base, compacting past
+// maxBlobs. Shared by the /merge path and recovery's blob-record
 // replay. counted selects whether the blobs metric advances (recovery
 // inputs count as restored instead).
 func (e *Entry) absorbDecoded(s hh.Summary[string], counted bool) (float64, error) {
 	mass := s.N()
 	e.mergeMu.Lock()
 	defer e.mergeMu.Unlock()
-	e.remotes = append(e.remotes, s)
+	if e.base == nil {
+		e.base = hh.NewMerger[string](e.capacity)
+	}
+	if err := e.base.Add(s); err != nil {
+		return 0, err
+	}
+	e.baseInputs++
 	e.remoteMass += mass
-	if len(e.remotes) > e.maxBlobs {
-		// Compact: one nested merge over the accumulated blobs. Bounds
-		// widen by the compacted inputs' Δ-floors — the honest price of
-		// bounded memory; mass and estimates are unaffected.
-		compacted, err := hh.MergeSummaries(e.capacity, e.remotes...)
+	if e.baseInputs > e.maxBlobs {
+		// Compact: the blobs so far become one nested merge that seeds a
+		// fresh base. Bounds widen by the compacted inputs' Δ-floors;
+		// mass and estimates are unaffected.
+		compacted, err := e.base.Merge()
 		if err != nil {
 			return 0, err
 		}
-		clear(e.remotes)
-		e.remotes = append(e.remotes[:0], compacted)
+		base := hh.NewMerger[string](e.capacity)
+		if err := base.Add(compacted); err != nil {
+			return 0, err
+		}
+		e.base, e.baseInputs = base, 1
 	}
 	e.mergeGen.Add(1)
 	if counted {
@@ -538,18 +555,34 @@ func (e *Entry) absorbDecoded(s hh.Summary[string], counted bool) (float64, erro
 	return mass, nil
 }
 
+// union builds the state queries and snapshots answer over: the live
+// summary itself until a blob has been absorbed, then base.Merge(live)
+// — the blobs in arrival order, then live — or base.Merge() while live
+// is still empty. Merge leaves base untouched and pins a live snapshot
+// covering every write completed before the call.
+func (e *Entry) union() (hh.Summary[string], error) {
+	e.mergeMu.Lock()
+	defer e.mergeMu.Unlock()
+	switch {
+	case e.baseInputs == 0:
+		return e.live, nil
+	case e.live.N() > 0:
+		return e.base.Merge(e.live)
+	default:
+		return e.base.Merge()
+	}
+}
+
 // View returns the handle queries answer against: the live summary
 // itself while nothing has been pushed via /merge (lock-free
-// concurrent-tier reads), otherwise a cached MergeSummaries of the
-// live summary and every pushed blob. The cache is keyed by the merge
-// generation and the live mass at build time, so a view is rebuilt
-// only when something actually changed; rebuilds are single-flighted
-// (a query arriving during another's rebuild serves the previous view
-// — bounded staleness, exactly the concurrency tier's trade — and
-// only blocks when there is no previous view yet), pin consistent
-// snapshots of the live summary, and never block ingest. The merge
-// runs under mergeMu so it cannot race a compaction's merge over the
-// same decoded blobs (plain summaries' queries mutate scratch state).
+// concurrent-tier reads), otherwise a cached union of every pushed
+// blob and the live summary (see Entry). The cache is keyed by the
+// merge generation and the live mass at build time, so a view is
+// rebuilt only when something actually changed; rebuilds are
+// single-flighted (a query arriving during another's rebuild serves
+// the previous view — bounded staleness, exactly the concurrency
+// tier's trade — and only blocks when there is no previous view yet),
+// cost O(live counters), and never block ingest.
 func (e *Entry) View() (View, error) {
 	gen := e.mergeGen.Load()
 	if gen == 0 {
@@ -573,14 +606,7 @@ func (e *Entry) View() (View, error) {
 	if v := e.view.Load(); v != nil && v.gen == gen && v.liveN == liveN {
 		return View{sum: v.sum, mu: &v.mu}, nil
 	}
-	e.mergeMu.Lock()
-	inputs := make([]hh.Summary[string], 0, len(e.remotes)+1)
-	if liveN > 0 {
-		inputs = append(inputs, e.live)
-	}
-	inputs = append(inputs, e.remotes...)
-	merged, err := hh.MergeSummaries(e.capacity, inputs...)
-	e.mergeMu.Unlock()
+	merged, err := e.union()
 	if err != nil {
 		return View{}, err
 	}

@@ -237,6 +237,101 @@ func TestMergePlusLiveIngest(t *testing.T) {
 	}
 }
 
+// TestUnionViewMatchesFlatMerge pins the union view's definition under
+// interleaved traffic: after every step, /heavyhitters, the /top
+// bounds and the /encode bytes equal an in-process MergeSummaries of
+// the pushed blobs in arrival order followed by the live summary —
+// whatever order /update and /merge arrived in, and however often the
+// view was rebuilt in between.
+func TestUnionViewMatchesFlatMerge(t *testing.T) {
+	const m = 96
+	spec := hh.Spec{Capacity: m}
+	ts, _ := newTestServer(t, registry.Config{Summaries: map[string]hh.Spec{"u": spec}})
+	ctx := context.Background()
+	c := client.New(ts.URL, "u")
+	// The reference live summary carries the registry's serving
+	// hardening, so both sides apply identical batches to identical
+	// structures.
+	live, err := hh.NewFromSpec[string](hh.Spec{Capacity: m, Concurrent: true, Arena: true, BorrowedKeys: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var blobs []hh.Summary[string]
+	for step := uint64(1); step <= 8; step++ {
+		keys := zipfKeys(800, 3000, 100+step)
+		if _, err := c.Push(ctx, keys); err != nil {
+			t.Fatal(err)
+		}
+		live.UpdateBatch(keys)
+		if step%2 == 0 || step == 1 {
+			algo := hh.AlgoSpaceSaving
+			if step%4 == 0 {
+				algo = hh.AlgoFrequent
+			}
+			agent := hh.New[string](hh.WithCapacity(64), hh.WithAlgorithm(algo))
+			agent.UpdateBatch(zipfKeys(800, 4000, 200+step))
+			var buf bytes.Buffer
+			if err := agent.Encode(&buf); err != nil {
+				t.Fatal(err)
+			}
+			d, err := hh.Decode[string](bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			blobs = append(blobs, d)
+			if _, err := c.MergeBlob(ctx, &buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ref, err := hh.MergeSummaries(m, append(append([]hh.Summary[string](nil), blobs...), live)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		const phi = 0.005
+		hits, err := c.HeavyHitters(ctx, phi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := ref.HeavyHitters(phi)
+		if hits.N != ref.N() || len(hits.Results) != len(want) {
+			t.Fatalf("step %d: served N %v with %d heavy hitters, reference N %v with %d",
+				step, hits.N, len(hits.Results), ref.N(), len(want))
+		}
+		for i, h := range hits.Results {
+			w := want[i]
+			if h.Item != w.Item || h.Count != w.Count || h.Lo != w.Lo || h.Hi != w.Hi || h.Guaranteed != w.Guaranteed {
+				t.Errorf("step %d: heavyhitters[%d] = %+v, reference %+v", step, i, h, w)
+			}
+		}
+		top, err := c.Top(ctx, 25)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refTop := ref.Top(25)
+		if len(top.Results) != len(refTop) {
+			t.Fatalf("step %d: /top returned %d results, reference %d", step, len(top.Results), len(refTop))
+		}
+		for i, r := range top.Results {
+			lo, hi := ref.EstimateBounds(r.Item)
+			if r.Item != refTop[i].Item || r.Count != refTop[i].Count || r.Lo != lo || r.Hi != hi {
+				t.Errorf("step %d: top[%d] = %+v, reference %+v in [%v, %v]", step, i, r, refTop[i], lo, hi)
+			}
+		}
+		var served, encoded bytes.Buffer
+		if err := c.Encode(ctx, &served); err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.Encode(&encoded); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(served.Bytes(), encoded.Bytes()) {
+			t.Errorf("step %d: /encode differs from the reference merge's encoding (%d vs %d bytes)",
+				step, served.Len(), encoded.Len())
+		}
+	}
+}
+
 func TestBinaryIngest(t *testing.T) {
 	ts, reg := newTestServer(t, registry.Config{
 		Summaries: map[string]hh.Spec{"raw": {Capacity: 64}},

@@ -1,6 +1,7 @@
 package spacesaving
 
 import (
+	"maps"
 	"math"
 
 	"repro/internal/core"
@@ -13,13 +14,19 @@ import (
 // When every b_i is 1 it behaves identically to SPACESAVING, and
 // Theorem 10 gives it the k-tail guarantee with A = B = 1.
 //
-// It is backed by a binary min-heap on counts; ties are broken by heap
-// position (deterministic for a fixed update sequence). The zero value is
-// not usable; construct with NewR.
+// Counters live in fixed slots: a key keeps its slot until it is
+// evicted, and the evicting key takes the victim's slot over. A binary
+// min-heap on counts orders the slot indices, with at[slot] pointing
+// back into the heap, so a sift swaps two int32s instead of rewriting
+// the key map. Ties are broken by heap position (deterministic for a
+// fixed update sequence). The zero value is not usable; construct with
+// NewR.
 type R[K comparable] struct {
 	m     int
-	pos   map[K]int
-	elems []rElem[K]
+	pos   map[K]int32 // key -> slot
+	slots []rElem[K]
+	heap  []int32 // slot indices, min-heap on slots[·].count
+	at    []int32 // slot -> index in heap
 	total float64
 	// clone, when set, copies a key at the moment it is retained
 	// (SetKeyClone) so callers may pass keys aliasing reused memory.
@@ -40,12 +47,9 @@ type rElem[K comparable] struct {
 }
 
 // NewR returns a SPACESAVINGR instance with m counters. It panics if
-// m < 1.
+// m < 1 or m does not fit the int32 slot indices.
 func NewR[K comparable](m int) *R[K] {
-	if m < 1 {
-		panic("spacesaving: m must be >= 1")
-	}
-	return &R[K]{m: m, pos: make(map[K]int, m), elems: make([]rElem[K], 0, m)}
+	return NewRSized[K](m, m)
 }
 
 // NewRSized returns an R with capacity m whose initial storage is sized
@@ -55,13 +59,35 @@ func NewRSized[K comparable](m, hint int) *R[K] {
 	if m < 1 {
 		panic("spacesaving: m must be >= 1")
 	}
-	if hint < 0 {
-		hint = 0
+	if m > math.MaxInt32 {
+		// Slots and heap positions are int32; a larger m would wrap them.
+		panic("spacesaving: m exceeds the int32 slot index range")
 	}
-	if hint > m {
-		hint = m
+	hint = min(max(hint, 0), m)
+	return &R[K]{
+		m:     m,
+		pos:   make(map[K]int32, hint),
+		slots: make([]rElem[K], 0, hint),
+		heap:  make([]int32, 0, hint),
+		at:    make([]int32, 0, hint),
 	}
-	return &R[K]{m: m, pos: make(map[K]int, hint), elems: make([]rElem[K], 0, hint)}
+}
+
+// Clone returns an independent deep copy: the same counters in the
+// same slots and heap order, so the copy evolves bit-identically to the
+// original under the same updates. Storage keeps the original's
+// capacity, so a clone of a partly filled structure grows no more than
+// the original would. The key-clone hook is shared.
+func (r *R[K]) Clone() *R[K] {
+	return &R[K]{
+		m:     r.m,
+		pos:   maps.Clone(r.pos),
+		slots: append(make([]rElem[K], 0, cap(r.slots)), r.slots...),
+		heap:  append(make([]int32, 0, cap(r.heap)), r.heap...),
+		at:    append(make([]int32, 0, cap(r.at)), r.at...),
+		total: r.total,
+		clone: r.clone,
+	}
 }
 
 // UpdateWeighted processes b occurrences' worth of item. It panics on
@@ -78,25 +104,14 @@ func (r *R[K]) UpdateWeighted(item K, b float64) {
 		panic("spacesaving: non-positive weight")
 	}
 	r.total += b
-	if i, ok := r.pos[item]; ok {
-		r.elems[i].count += b
-		r.siftDown(i)
+	if s, ok := r.pos[item]; ok {
+		// err is left as is, not += 0: that would turn a −0 error a
+		// decoded blob carried into +0 and change the encoded bytes.
+		r.slots[s].count += b
+		r.siftDown(int(r.at[s]))
 		return
 	}
-	if r.clone != nil {
-		item = r.clone(item) //hh:allocok borrowed-key inserts copy the key by contract
-	}
-	if len(r.elems) < r.m {
-		r.elems = append(r.elems, rElem[K]{item: item, count: b})
-		r.pos[item] = len(r.elems) - 1
-		r.siftUp(len(r.elems) - 1)
-		return
-	}
-	victim := r.elems[0]
-	delete(r.pos, victim.item)
-	r.elems[0] = rElem[K]{item: item, count: victim.count + b, err: victim.count}
-	r.pos[item] = 0
-	r.siftDown(0)
+	r.insert(item, b, 0)
 }
 
 // Update processes a unit-weight occurrence.
@@ -118,25 +133,38 @@ func (r *R[K]) Absorb(item K, count, err float64) {
 		return
 	}
 	r.total += count
-	if i, ok := r.pos[item]; ok {
-		r.elems[i].count += count
-		r.elems[i].err += err
-		r.siftDown(i)
+	if s, ok := r.pos[item]; ok {
+		r.slots[s].count += count
+		r.slots[s].err += err
+		r.siftDown(int(r.at[s]))
 		return
 	}
+	r.insert(item, count, err)
+}
+
+// insert stores an item that holds no counter: in a free slot while
+// fewer than m are taken, otherwise in the minimum counter's slot,
+// starting from c_min with ε = c_min + err.
+//
+//hh:noalloc
+func (r *R[K]) insert(item K, count, err float64) {
 	if r.clone != nil {
 		item = r.clone(item) //hh:allocok borrowed-key inserts copy the key by contract
 	}
-	if len(r.elems) < r.m {
-		r.elems = append(r.elems, rElem[K]{item: item, count: count, err: err})
-		r.pos[item] = len(r.elems) - 1
-		r.siftUp(len(r.elems) - 1)
+	if len(r.slots) < r.m {
+		s := int32(len(r.slots))
+		r.slots = append(r.slots, rElem[K]{item: item, count: count, err: err})
+		r.pos[item] = s
+		r.heap = append(r.heap, s)
+		r.at = append(r.at, s)
+		r.siftUp(int(s))
 		return
 	}
-	victim := r.elems[0]
-	delete(r.pos, victim.item)
-	r.elems[0] = rElem[K]{item: item, count: victim.count + count, err: victim.count + err}
-	r.pos[item] = 0
+	s := r.heap[0]
+	cmin := r.slots[s].count
+	delete(r.pos, r.slots[s].item)
+	r.slots[s] = rElem[K]{item: item, count: cmin + count, err: cmin + err}
+	r.pos[item] = s
 	r.siftDown(0)
 }
 
@@ -145,32 +173,32 @@ func (r *R[K]) Absorb(item K, count, err float64) {
 //
 //hh:noalloc
 func (r *R[K]) EstimateWeighted(item K) float64 {
-	i, ok := r.pos[item]
+	s, ok := r.pos[item]
 	if !ok {
 		return 0
 	}
-	return r.elems[i].count
+	return r.slots[s].count
 }
 
 // ErrorOf returns the recorded ε for item (zero if absent).
 //
 //hh:noalloc
 func (r *R[K]) ErrorOf(item K) float64 {
-	i, ok := r.pos[item]
+	s, ok := r.pos[item]
 	if !ok {
 		return 0
 	}
-	return r.elems[i].err
+	return r.slots[s].err
 }
 
 // MinCount returns the smallest stored counter Δ (zero when not full).
 //
 //hh:noalloc
 func (r *R[K]) MinCount() float64 {
-	if len(r.elems) < r.m || len(r.elems) == 0 {
+	if len(r.slots) < r.m || len(r.slots) == 0 {
 		return 0
 	}
-	return r.elems[0].count
+	return r.slots[r.heap[0]].count
 }
 
 // AppendWeightedEntries appends the stored counters in decreasing count
@@ -185,7 +213,10 @@ func (r *R[K]) AppendWeightedEntries(dst []core.WeightedEntry[K], max int) []cor
 		return dst
 	}
 	start := len(dst)
-	for _, e := range r.elems {
+	// Heap order, so equal counts keep the tie order the stable sort
+	// has always seen.
+	for _, s := range r.heap {
+		e := &r.slots[s]
 		dst = append(dst, core.WeightedEntry[K]{Item: e.item, Count: e.count, Err: e.err})
 	}
 	core.SortWeightedEntries(dst[start:])
@@ -197,14 +228,14 @@ func (r *R[K]) AppendWeightedEntries(dst []core.WeightedEntry[K], max int) []cor
 
 // WeightedEntries returns the stored counters sorted by decreasing count.
 func (r *R[K]) WeightedEntries() []core.WeightedEntry[K] {
-	return r.AppendWeightedEntries(make([]core.WeightedEntry[K], 0, len(r.elems)), -1)
+	return r.AppendWeightedEntries(make([]core.WeightedEntry[K], 0, len(r.slots)), -1)
 }
 
 // Capacity returns m.
 func (r *R[K]) Capacity() int { return r.m }
 
 // Len returns the number of stored counters.
-func (r *R[K]) Len() int { return len(r.elems) }
+func (r *R[K]) Len() int { return len(r.slots) }
 
 // TotalWeight returns Σ b_i processed so far; the stored counters always
 // sum to exactly this value once the structure is full or all items fit.
@@ -217,9 +248,11 @@ func (r *R[K]) TotalWeight() float64 { return r.total }
 //hh:noalloc
 func (r *R[K]) Reset() {
 	clear(r.pos)
-	// Zero the elements so slab slots do not pin evicted keys for GC.
-	clear(r.elems)
-	r.elems = r.elems[:0]
+	// Zero the slots so they do not pin evicted keys for GC.
+	clear(r.slots)
+	r.slots = r.slots[:0]
+	r.heap = r.heap[:0]
+	r.at = r.at[:0]
 	r.total = 0
 }
 
@@ -231,9 +264,9 @@ func (r *R[K]) Reset() {
 //
 //hh:noalloc
 func (r *R[K]) Scale(f float64) {
-	for i := range r.elems {
-		r.elems[i].count *= f
-		r.elems[i].err *= f
+	for i := range r.slots {
+		r.slots[i].count *= f
+		r.slots[i].err *= f
 	}
 	r.total *= f
 }
@@ -241,18 +274,25 @@ func (r *R[K]) Scale(f float64) {
 // Guarantee returns the Theorem 10 tail constants A = B = 1.
 func (r *R[K]) Guarantee() core.TailGuarantee { return core.TailGuarantee{A: 1, B: 1} }
 
+// less orders heap positions i and j by their slots' counts.
+//
+//hh:noalloc
+func (r *R[K]) less(i, j int) bool {
+	return r.slots[r.heap[i]].count < r.slots[r.heap[j]].count
+}
+
 //hh:noalloc
 func (r *R[K]) swap(i, j int) {
-	r.elems[i], r.elems[j] = r.elems[j], r.elems[i]
-	r.pos[r.elems[i].item] = i
-	r.pos[r.elems[j].item] = j
+	r.heap[i], r.heap[j] = r.heap[j], r.heap[i]
+	r.at[r.heap[i]] = int32(i)
+	r.at[r.heap[j]] = int32(j)
 }
 
 //hh:noalloc
 func (r *R[K]) siftUp(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if r.elems[parent].count <= r.elems[i].count {
+		if !r.less(i, parent) {
 			return
 		}
 		r.swap(i, parent)
@@ -262,14 +302,14 @@ func (r *R[K]) siftUp(i int) {
 
 //hh:noalloc
 func (r *R[K]) siftDown(i int) {
-	n := len(r.elems)
+	n := len(r.heap)
 	for {
 		l, rt := 2*i+1, 2*i+2
 		small := i
-		if l < n && r.elems[l].count < r.elems[small].count {
+		if l < n && r.less(l, small) {
 			small = l
 		}
-		if rt < n && r.elems[rt].count < r.elems[small].count {
+		if rt < n && r.less(rt, small) {
 			small = rt
 		}
 		if small == i {

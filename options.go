@@ -128,10 +128,12 @@ func WithShards(p int) Option {
 // Estimate, EstimateBounds, Top, TopAppend, All, HeavyHitters, N and
 // Window are lock-free against the write path. Readers may observe a
 // bounded-stale snapshot: at most one in-flight rebuild old, and never
-// from before the latest Reset. N is the exception that trades the
-// staleness allowance for exactness — it waits for an in-flight
-// rebuild (still never blocking writers), so the reported mass is
-// exact as soon as writers quiesce. The tier composes with every other
+// from before the latest Reset. N, Encode and merges (Merge,
+// MergeSummaries, Merger.Add) trade the staleness allowance for
+// exactness — they wait for an in-flight rebuild (still never blocking
+// writers), so the reported mass is exact as soon as writers quiesce
+// and an encoded or merged state covers every write completed before
+// the call. The tier composes with every other
 // tier (core → window/decay → sharded → concurrent) and keeps the
 // batch path's one-hash-per-key contract; it requires a deterministic
 // counter algorithm (snapshots cannot reproduce a sketch's estimates

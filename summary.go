@@ -477,74 +477,6 @@ func (s *summary[K]) String() string {
 	return fmt.Sprintf("heavyhitters.Summary{algo: %v, m: %d, n: %.0f}", s.algo, s.be.capacity(), s.be.total())
 }
 
-// MergeSummaries combines any number of counter-backed summaries into a
-// fresh m-counter summary of the union of their streams — the Section
-// 6.2 construction, refeeding every stored counter (the robust MergeAll
-// variant; see that function's note on why it is preferred over the
-// literal k-sparse merge). Per-item error metadata and upper slack are
-// carried through, so EstimateBounds on the result remain certain
-// bounds; because any item may have gone unseen by an input that was
-// full (a SPACESAVING input's unseen mass per item is at most its
-// minimum counter Δ), every upper bound widens by the sum of the
-// inputs' Δ-floors — the honest price of certainty after a merge. The
-// point estimates and the Theorem 11 tail guarantee are unaffected: if
-// every input carries a k-tail guarantee the result carries the (3A,
-// A+B) constants of the elementwise max. Sketch-backed summaries are
-// rejected.
-func MergeSummaries[K comparable](m int, summaries ...Summary[K]) (Summary[K], error) {
-	if m < 1 {
-		return nil, fmt.Errorf("heavyhitters: merge capacity must be >= 1, got %d", m)
-	}
-	if len(summaries) == 0 {
-		return nil, fmt.Errorf("heavyhitters: nothing to merge")
-	}
-	dst := spacesaving.NewR[K](m)
-	slack := 0.0
-	sumN := 0.0
-	hasG := true
-	var g TailGuarantee
-	for i, in := range summaries {
-		ws, ok := in.(*summary[K])
-		if !ok {
-			return nil, fmt.Errorf("heavyhitters: input %d is not a summary built by this package", i)
-		}
-		// Pin one consistent view per input: a concurrent input's
-		// entries, slack and mass must all come from the same snapshot or
-		// racing writers could break the carried bounds.
-		be := pinned(ws.be)
-		if !be.mergeable() {
-			return nil, fmt.Errorf("heavyhitters: input %d (%v) is sketch-backed and cannot be merged", i, ws.algo)
-		}
-		carryErr := be.overEst()
-		be.each(func(e WeightedEntry[K]) bool {
-			if carryErr {
-				dst.Absorb(e.Item, e.Count, e.Err)
-			} else {
-				dst.Absorb(e.Item, e.Count, 0)
-			}
-			return true
-		})
-		// slackOut widens every bound (underestimated mass); absentExtra
-		// widens them too, because an item stored in the merge may have
-		// been evicted by this input, hiding up to its Δ.
-		slack += be.slackOut() + be.absentExtra()
-		sumN += be.total()
-		ig, ok := be.guarantee()
-		if !ok {
-			hasG = false
-		} else {
-			g.A = math.Max(g.A, ig.A)
-			g.B = math.Max(g.B, ig.B)
-		}
-	}
-	be := &weightedBackend[K]{ssr: dst, slack: slack}
-	be.carryExtraMass(sumN)
-	if hasG {
-		be.g, be.hasG = MergedGuarantee(g), true
-	}
-	return &summary[K]{algo: AlgoSpaceSaving, be: be}, nil
-}
-
 // --- unit counter backend (SPACESAVING / FREQUENT / LOSSYCOUNTING) ---
 
 type unitBackend[K comparable] struct {
