@@ -246,31 +246,3 @@ func TestCoalescedIngestZeroAllocs(t *testing.T) {
 		}
 	}
 }
-
-// TestPipelinedIngestZeroAllocs pins the WithPipeline enqueue path:
-// producer-side partition+coalesce scratch, ring-slot key/count/hash
-// arrays, and the flush barrier are all reused, so steady-state
-// pipelined ingest allocates nothing on either side of the rings (the
-// worker's kernel work is counted too — AllocsPerRun reads the global
-// allocation counters, and the Flush in the loop drains every job).
-func TestPipelinedIngestZeroAllocs(t *testing.T) {
-	batch := make([]uint64, 4096)
-	for i := range batch {
-		batch[i] = uint64(i % 37)
-	}
-	sum := hh.New[uint64](hh.WithCapacity(256), hh.WithShards(4), hh.WithPipeline())
-	assertZeroAllocs(t, "pipelined UpdateBatch+Flush",
-		func() {
-			// Steady state here means every ring slot's arrays have
-			// grown to the sub-batch high-water mark: jobs rotate
-			// through the whole ring, so warm one full lap.
-			for i := 0; i < 80; i++ {
-				sum.UpdateBatch(batch)
-			}
-			sum.Flush()
-		},
-		func() {
-			sum.UpdateBatch(batch)
-			sum.Flush()
-		})
-}

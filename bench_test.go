@@ -1,9 +1,10 @@
 package heavyhitters_test
 
-// One benchmark per experiment table (E1–E11, see DESIGN.md §4): running
-// `go test -bench=E -benchmem` regenerates every table of the
-// reproduction at benchmark scale. Micro-benchmarks of the individual
-// algorithms' update paths follow.
+// One benchmark per experiment table (E1–E11, each documented on its
+// E-function in internal/experiments): running `go test -bench=E
+// -benchmem` regenerates every table of the reproduction at benchmark
+// scale. Micro-benchmarks of the individual algorithms' update paths
+// follow.
 //
 // cmd/hhbench prints the same tables with full-size workloads and is the
 // intended way to read the results; the benchmarks exist to track the
@@ -172,7 +173,7 @@ func BenchmarkTopK(b *testing.B) {
 
 func BenchmarkConcurrentUpdateParallel(b *testing.B) {
 	s := benchStream(1 << 16)
-	c := hh.NewConcurrentUint64(16, 256)
+	c := hh.New[uint64](hh.WithConcurrent(), hh.WithShards(16), hh.WithCapacity(256))
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {

@@ -107,22 +107,10 @@ func runJSON(path string, n uint64, universe int, seed uint64, m int, smoke bool
 		}
 	}
 	// Contended-ingest rows: the concurrency tier under 1/4/8 writer
-	// goroutines, a mixed reader+writer run, the per-item Update path
-	// and the deprecated Concurrent[K] it replaced (kept as the
-	// regression baseline the new tier must not fall below).
+	// goroutines, a mixed reader+writer run, and the per-item Update
+	// path.
 	zipf := stream.Zipf(universe, 1.1, n, stream.OrderRandom, seed)
 	for _, rec := range measureContended(zipf, m) {
-		report.Add(rec)
-		fmt.Fprintf(os.Stderr, "%-45s %8.2f M items/s  %6.1f ns/op  %.3f allocs/op\n",
-			rec.Name, rec.ItemsPerSec/1e6, rec.NsPerOp, rec.AllocsPerOp)
-	}
-	// Pipeline rows: WithPipeline's single-writer shard workers under 1
-	// and 4 producers (each timed pass ends with a Flush so the drain is
-	// inside the measurement). On a single-core runner these price the
-	// enqueue+handoff overhead rather than showing parallel speedup —
-	// the pipelined rows are gated on not regressing, not on beating
-	// the locked-shard contended rows.
-	for _, rec := range measurePipeline(zipf, m) {
 		report.Add(rec)
 		fmt.Fprintf(os.Stderr, "%-45s %8.2f M items/s  %6.1f ns/op  %.3f allocs/op\n",
 			rec.Name, rec.ItemsPerSec/1e6, rec.NsPerOp, rec.AllocsPerOp)
@@ -170,8 +158,7 @@ const contendedPasses = 3
 // summary. Writer counts cross the batch path (the production ingest
 // path) with a mixed reader+writer row — one reader burst-polling
 // TopAppend and Estimate, which under the concurrency tier must not
-// collapse writer throughput — plus per-item Update rows for the new
-// tier and the legacy Concurrent[K] baseline it retired.
+// collapse writer throughput — plus a per-item Update row.
 func measureContended(s []uint64, m int) []benchjson.Record {
 	newSum := func() hh.Summary[uint64] {
 		return hh.New[uint64](hh.WithCapacity(m), hh.WithShards(contendedShards), hh.WithConcurrent())
@@ -211,35 +198,6 @@ func measureContended(s []uint64, m int) []benchjson.Record {
 	recs = append(recs, timeContended(
 		fmt.Sprintf("contended/spacesaving/zipf-1.1/concurrent%d-update/w8", contendedShards),
 		s, 8, 1, newSum(), itemW, nil))
-	legacy := hh.NewConcurrentUint64(contendedShards, m)
-	recs = append(recs, timeContended(
-		fmt.Sprintf("contended/spacesaving/zipf-1.1/legacy%d-update/w8", contendedShards),
-		s, 8, 1, legacy.Summary(), itemW, nil))
-	return recs
-}
-
-// measurePipeline times the WithPipeline tier: producers enqueue
-// pre-partitioned sub-batches into per-shard SPSC rings and the shard
-// workers apply them. Each writer's pass ends with a Flush so the
-// rings are drained inside the timed region — throughput here is
-// applied mass, never mass parked in a ring.
-func measurePipeline(s []uint64, m int) []benchjson.Record {
-	newSum := func() hh.Summary[uint64] {
-		return hh.New[uint64](hh.WithCapacity(m), hh.WithShards(contendedShards),
-			hh.WithPipeline(), hh.WithConcurrent())
-	}
-	batchFlushW := func(sum hh.Summary[uint64], part []uint64) {
-		for lo := 0; lo < len(part); lo += jsonBatch {
-			sum.UpdateBatch(part[lo:min(lo+jsonBatch, len(part))])
-		}
-		sum.Flush()
-	}
-	var recs []benchjson.Record
-	for _, writers := range []int{1, 4} {
-		recs = append(recs, timeContended(
-			fmt.Sprintf("pipeline/spacesaving/zipf-1.1/pipelined%d/w%d", contendedShards, writers),
-			s, writers, jsonBatch, newSum(), batchFlushW, nil))
-	}
 	return recs
 }
 

@@ -1,6 +1,7 @@
 // Command hhbench regenerates the reproduction's experiment tables
-// (E1–E11, catalogued in DESIGN.md §4): Table 1 of the paper measured
-// empirically, plus one experiment per theorem.
+// (E1–E11, each documented on its E-function in internal/experiments):
+// Table 1 of the paper measured empirically, plus one experiment per
+// theorem.
 //
 // Usage:
 //
@@ -9,8 +10,7 @@
 //	hhbench -small              # reduced workload (seconds, not minutes)
 //	hhbench -n 500000 -universe 50000 -alpha 1.2 -seed 7
 //
-// Output is plain text, one table per experiment, matching the entries
-// recorded in EXPERIMENTS.md.
+// Output is plain text, one table per experiment.
 //
 // The -ingest flag instead benchmarks the unified-API ingestion paths
 // (per-item Update vs UpdateBatch, unsharded and sharded) on a Zipf
@@ -94,8 +94,7 @@ func runIngest(n uint64, universe int, alpha float64, seed uint64, shards, m, ba
 
 // runIngestContended prints the multi-goroutine rows: the concurrency
 // tier (WithConcurrent + WithShards) under 1/4/8 batch writers, the
-// same with a burst-polling reader alongside, and the per-item paths
-// of the tier versus the deprecated Concurrent[K] it replaced.
+// same with a burst-polling reader alongside, and its per-item path.
 func runIngestContended(s []uint64, shards, m, batch int) {
 	fmt.Println()
 	batchIngest := func(sum hh.Summary[uint64]) func([]uint64) {
@@ -173,12 +172,6 @@ func runIngestContended(s []uint64, shards, m, batch int) {
 	contend(fmt.Sprintf("concurrent(%d) 8 writers+reader", shards), mixed, 8, batchIngest(mixed), true)
 	perItem := hh.New[uint64](concurrentOpts...)
 	contend(fmt.Sprintf("concurrent(%d) 8 writers Update", shards), perItem, 8, itemIngest(perItem), false)
-	legacy := hh.NewConcurrentUint64(shards, m)
-	contend(fmt.Sprintf("legacy Concurrent(%d) 8 writers", shards), legacy.Summary(), 8, func(part []uint64) {
-		for _, x := range part {
-			legacy.Update(x)
-		}
-	}, false)
 }
 
 func main() {

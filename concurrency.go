@@ -88,13 +88,7 @@ type concurrentTier[K comparable] struct {
 // newConcurrentTier wraps inner in the concurrency tier.
 func newConcurrentTier[K comparable](cfg config, inner backend[K]) *concurrentTier[K] {
 	t := &concurrentTier[K]{inner: inner}
-	switch inner.(type) {
-	case *shardedBackend[K], *pipelineTier[K]:
-		// Both serialize their own mutations: the sharded tier through
-		// its per-shard mutexes, the pipeline tier through single-writer
-		// shard workers (whose reads barrier on ring drain).
-		t.selfLocked = true
-	}
+	_, t.selfLocked = inner.(*shardedBackend[K])
 	if cfg.tickSet {
 		t.tick = cfg.tick / time.Duration(cfg.epochs)
 		if t.tick <= 0 {

@@ -10,6 +10,8 @@ package heavyhitters_test
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -624,5 +626,174 @@ func TestConcurrentRejectsSketches(t *testing.T) {
 			}()
 			hh.New[uint64](hh.WithConcurrent(), hh.WithAlgorithm(a))
 		}()
+	}
+}
+
+// concurrentSharded is the thread-safe sharded stack every concurrent
+// ingest path runs: p locked shards of m counters each under the
+// concurrency tier.
+func concurrentSharded[K comparable](p, m int) hh.Summary[K] {
+	return hh.New[K](hh.WithConcurrent(), hh.WithShards(p), hh.WithCapacity(m))
+}
+
+func TestConcurrentSequentialCorrectness(t *testing.T) {
+	c := concurrentSharded[uint64](4, 32)
+	s := stream.Zipf(500, 1.2, 50000, stream.OrderRandom, 3)
+	truth := exact.FromStream(s)
+	for _, x := range s {
+		c.Update(x)
+	}
+	if c.N() != float64(len(s)) {
+		t.Errorf("N = %v, want %d", c.N(), len(s))
+	}
+	// Items are partitioned across shards, so per-item estimates keep a
+	// shard-level overestimate guarantee: estimate >= true for stored.
+	for i := uint64(0); i < 10; i++ {
+		if c.Estimate(i) < truth.Freq(i) {
+			t.Errorf("item %d: estimate %v under true %v", i, c.Estimate(i), truth.Freq(i))
+		}
+	}
+}
+
+// TestConcurrentSnapshotGuarantee checks Theorem 11 on the compacted
+// view of a sharded summary: each shard is (1, 1)-guaranteed on its
+// sub-stream, so merging the shards into m counters must report (3, 2)
+// and keep every error within the (3, 2) k-tail bound, with every true
+// frequency inside the merged certain bounds.
+func TestConcurrentSnapshotGuarantee(t *testing.T) {
+	const n, total, m, k = 400, 80000, 100, 10
+	c := concurrentSharded[uint64](8, m)
+	s := stream.Zipf(n, 1.1, total, stream.OrderRandom, 5)
+	truth := exact.FromStream(s)
+	for _, x := range s {
+		c.Update(x)
+	}
+	live := hh.TailGuarantee{A: 1, B: 1}
+	if g, ok := c.Guarantee(); !ok || g != live {
+		t.Fatalf("live Guarantee = %v, %v; want %v", g, ok, live)
+	}
+	snap, err := hh.MergeSummaries(m, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, ok := snap.Guarantee()
+	if want := hh.MergedGuarantee(live); !ok || g != want {
+		t.Fatalf("merged Guarantee = %v, %v; want %v", g, ok, want)
+	}
+	bound := g.Bound(m, k, truth.Res1(k))
+	worst := 0.0
+	for i := uint64(0); i < n; i++ {
+		f := truth.Freq(i)
+		worst = max(worst, math.Abs(f-snap.Estimate(i)))
+		if lo, hi := snap.EstimateBounds(i); lo > f || hi < f {
+			t.Errorf("item %d: merged bounds [%v, %v] exclude true %v", i, lo, hi, f)
+		}
+	}
+	if worst > bound {
+		t.Errorf("worst merged error %v exceeds the (3, 2) bound %v", worst, bound)
+	}
+	t.Logf("merged guarantee %v: worst error %v, bound %v", g, worst, bound)
+}
+
+func TestConcurrentParallelUpdates(t *testing.T) {
+	// Hammer the structure from many goroutines; run with -race in CI.
+	const goroutines, perG = 8, 20000
+	c := concurrentSharded[uint64](4, 64)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(seed uint64) {
+			defer wg.Done()
+			s := stream.Zipf(200, 1.1, perG, stream.OrderRandom, seed)
+			for _, x := range s {
+				c.Update(x)
+			}
+		}(uint64(g))
+	}
+	// Concurrent readers: point queries and the compacted merge.
+	done, readerDone := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				c.Estimate(0)
+				if _, err := hh.MergeSummaries(64, c); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+	}()
+	wg.Wait()
+	close(done)
+	<-readerDone
+	if c.N() != goroutines*perG {
+		t.Errorf("N = %v, want %d", c.N(), goroutines*perG)
+	}
+	// Item 0 is the heavy hitter of every goroutine's stream; it must
+	// lead the final ranking.
+	if top := c.Top(1); len(top) != 1 || top[0].Item != 0 {
+		t.Errorf("Top(1) = %v, want item 0", top)
+	}
+}
+
+func TestConcurrentStringKeys(t *testing.T) {
+	c := concurrentSharded[string](4, 16)
+	for i := 0; i < 100; i++ {
+		c.Update("hot")
+		if i%10 == 0 {
+			c.Update("warm")
+		}
+	}
+	if got := c.Estimate("hot"); got < 100 {
+		t.Errorf("Estimate(hot) = %v, want >= 100", got)
+	}
+	if top := c.Top(1); len(top) != 1 || top[0].Item != "hot" {
+		t.Errorf("Top = %v", top)
+	}
+}
+
+func TestConcurrentReset(t *testing.T) {
+	c := concurrentSharded[uint64](2, 8)
+	c.Update(1)
+	c.Reset()
+	if c.N() != 0 || c.Estimate(1) != 0 {
+		t.Error("Reset did not clear state")
+	}
+	c.Update(2)
+	if c.Estimate(2) != 1 {
+		t.Error("unusable after Reset")
+	}
+}
+
+func TestConcurrentConstructorPanics(t *testing.T) {
+	for name, fn := range map[string]func(){
+		"p<0": func() { concurrentSharded[uint64](-1, 8) },
+		"m=0": func() { concurrentSharded[uint64](2, 0) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
+}
+
+func TestConcurrentAccessors(t *testing.T) {
+	c := concurrentSharded[uint64](3, 16)
+	if c.Capacity() != 16 {
+		t.Errorf("Capacity = %d, want the per-shard 16", c.Capacity())
+	}
+	if c.Algorithm() != hh.AlgoSpaceSaving {
+		t.Errorf("Algorithm = %v", c.Algorithm())
+	}
+	if s, ok := c.(fmt.Stringer); !ok || s.String() == "" {
+		t.Error("no String() description")
 	}
 }

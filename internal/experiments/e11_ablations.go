@@ -8,7 +8,7 @@ import (
 	"repro/internal/stream"
 )
 
-// E11Ablations quantifies the design choices DESIGN.md calls out:
+// E11Ablations quantifies the implementation's main design choices:
 //
 //   - SPACESAVING backing structure: Stream-Summary bucket list (O(1) per
 //     update) vs (count, id) min-heap (O(log m), deterministic tie-break);

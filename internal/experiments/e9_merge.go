@@ -129,6 +129,6 @@ func E9Merge(cfg Config) *harness.Table {
 
 	t.Note("m=%d, k=%d; ksparse-merge ratio must be <= 1 (Theorem 11)", m, k)
 	t.Note("boundary rows (m=%d): the literal k-sparse construction loses f_{k+1} with homogeneous shards", bigM)
-	t.Note("and can exceed the stated bound; refeeding all counters (msparse) stays within it — see EXPERIMENTS.md")
+	t.Note("and can exceed the stated bound; refeeding all counters (msparse) stays within it — see merge.MSparse")
 	return t
 }

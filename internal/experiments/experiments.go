@@ -1,6 +1,6 @@
-// Package experiments implements the reproduction experiments E1–E11
-// catalogued in DESIGN.md: Table 1 measured empirically, and one
-// experiment per theorem of the paper. Each experiment builds its
+// Package experiments implements the reproduction experiments E1–E11,
+// each documented on its E-function: Table 1 measured empirically, and
+// one experiment per theorem of the paper. Each experiment builds its
 // workload, runs the algorithms, and returns a rendered table; cmd/hhbench
 // prints them and bench_test.go wraps them as benchmarks.
 package experiments

@@ -52,11 +52,11 @@ func KSparseWeighted[K comparable](m, k int, summaries ...[]core.WeightedEntry[K
 // Theorem 11 construction: with homogeneous shards, the union's (k+1)-th
 // item is absent from every k-sparse recovery, so the k-sparse merge's
 // error is at least f_{k+1} — which can marginally exceed the stated
-// 3A·F1^res(k)/(m−(A+B)k) bound once m ≫ k (observed empirically in E9;
-// see EXPERIMENTS.md). Refeeding all m counters closes that gap: an item
-// missing from a shard's summary has frequency at most that shard's own
-// error bound, so the per-item error chain Δ ≤ Δ_f′ + Σ_j Δ_j goes
-// through for every item.
+// 3A·F1^res(k)/(m−(A+B)k) bound once m ≫ k (observed empirically by
+// E9Merge in internal/experiments). Refeeding all m counters closes
+// that gap: an item missing from a shard's summary has frequency at
+// most that shard's own error bound, so the per-item error chain
+// Δ ≤ Δ_f′ + Σ_j Δ_j goes through for every item.
 func MSparse[K comparable](m int, summaries ...[]core.Entry[K]) *spacesaving.R[K] {
 	alg := spacesaving.NewR[K](m)
 	for _, entries := range summaries {

@@ -280,11 +280,11 @@ func (r *Registry) changeSig() uint64 {
 
 // Snapshot writes one atomic snapshot of every durable summary and
 // prunes the WAL behind it. Capture order per summary: take the
-// quiesce lock (no {WAL append, apply} pair is in flight), drain the
-// pipeline rings, read the sequence pin, encode the union view — so
-// the blob is exactly the state of sequences 1..pin, the invariant
-// replay dedup rests on. Serialized with itself; a no-op (Skipped)
-// when nothing durable changed since the last commit.
+// quiesce lock (no {WAL append, apply} pair is in flight), read the
+// sequence pin, encode the union view — so the blob is exactly the
+// state of sequences 1..pin, the invariant replay dedup rests on.
+// Serialized with itself; a no-op (Skipped) when nothing durable
+// changed since the last commit.
 func (r *Registry) Snapshot() (SnapshotReport, error) {
 	if r.store == nil {
 		return SnapshotReport{}, fmt.Errorf("registry: durability is not enabled")
@@ -328,9 +328,6 @@ func (r *Registry) Snapshot() (SnapshotReport, error) {
 func (e *Entry) capture() (persist.SummarySnapshot, error) {
 	e.durMu.Lock()
 	defer e.durMu.Unlock()
-	// Drain pipeline rings so parked batches are in the counters (their
-	// WAL records are already appended; the blob must cover them too).
-	e.live.Flush()
 	seq := e.walSeq.Load()
 	// src is either the live summary (concurrent tier: its Encode pins a
 	// snapshot covering every applied batch — ingest is quiesced anyway)

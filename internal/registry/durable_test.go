@@ -8,9 +8,12 @@ package registry_test
 
 import (
 	"bytes"
+	"encoding/json"
+	"slices"
 	"testing"
 
 	hh "repro"
+	"repro/internal/persist"
 	"repro/internal/registry"
 	"repro/internal/testutil"
 )
@@ -370,5 +373,136 @@ func TestDurableIngestZeroAllocs(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Errorf("durable IngestBatch: %.4f allocs per run at steady state, want 0", avg)
+	}
+}
+
+// TestDurableRecoversRetiredPipelineSpec: a data directory written while
+// Spec still had a "pipeline" field (the retired ring-fed ingest tier)
+// may carry "pipeline": true in a snapshot manifest spec and in a WAL
+// Create record. Recovery decodes persisted specs with plain
+// json.Unmarshal, so the field is dropped and both summaries come back
+// on the locked sharded tier with exactly the state the same directory
+// without the field recovers to — equal N, entries and certain bounds,
+// which still bracket the exact counts.
+func TestDurableRecoversRetiredPipelineSpec(t *testing.T) {
+	const (
+		current = `{"capacity":64,"shards":4,"concurrent":true,"borrowed_keys":true,"arena":true}`
+		retired = `{"capacity":64,"shards":4,"concurrent":true,"pipeline":true,"borrowed_keys":true,"arena":true}`
+	)
+	keys := zipfKeys(1000, 20_000, 5)
+	exact := make(map[string]float64)
+	for _, k := range keys {
+		exact[k]++
+	}
+	boot := func(spec string) *registry.Registry {
+		dir := t.TempDir()
+		writeDataDir(t, dir, spec, keys)
+		reg, err := registry.New(durableConfig(dir, nil))
+		if err != nil {
+			t.Fatalf("recovering a data dir with spec %s: %v", spec, err)
+		}
+		t.Cleanup(func() { reg.Halt() })
+		return reg
+	}
+	want, got := boot(current), boot(retired)
+	for i, name := range []string{"snap", "wal"} {
+		we, _ := want.Get(name)
+		ge, ok := got.Get(name)
+		if !ok {
+			t.Fatalf("%s missing after recovery", name)
+		}
+		if b, _ := json.Marshal(we.Spec()); string(b) != current {
+			t.Fatalf("the registry persists %s, not the spec this test writes", b)
+		}
+		if rs := got.Recovery().Summaries[i]; rs.Name != name || rs.FromSnapshot != (name == "snap") {
+			t.Errorf("recovery report %+v: want %s seeded from the snapshot only if it is \"snap\"", rs, name)
+		}
+		if sp := ge.Spec(); sp != we.Spec() || sp.Shards != 4 || !sp.Concurrent {
+			t.Errorf("%s recovered spec %+v, want %+v", name, sp, we.Spec())
+		}
+		wv, err := we.View()
+		if err != nil {
+			t.Fatal(err)
+		}
+		gv, err := ge.View()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gv.N() != float64(len(keys)) || gv.N() != wv.N() {
+			t.Fatalf("%s recovered N = %v, want %d", name, gv.N(), len(keys))
+		}
+		if g, w := gv.Top(gv.Len()), wv.Top(wv.Len()); !slices.Equal(g, w) {
+			t.Errorf("%s recovered entries differ from the current-format recovery", name)
+		}
+		for k, ex := range exact {
+			lo, hi := gv.EstimateBounds(k)
+			if wlo, whi := wv.EstimateBounds(k); lo != wlo || hi != whi {
+				t.Fatalf("%s bounds for %q: [%v, %v], current format [%v, %v]", name, k, lo, hi, wlo, whi)
+			}
+			if lo > ex || ex > hi {
+				t.Fatalf("%s bounds for %q: [%v, %v] exclude exact %v", name, k, lo, hi, ex)
+			}
+		}
+	}
+}
+
+// writeDataDir lays down a data directory the way the registry does,
+// with spec as the persisted JSON of two summaries: "snap" is covered
+// by a snapshot manifest up to its first half and replays the rest
+// from the WAL; "wal" lives in the WAL alone, from its Create record
+// on. keys are logged in 512-key batches.
+func writeDataDir(t *testing.T, dir, spec string, keys []string) {
+	t.Helper()
+	store, err := persist.Open(persist.Options{Dir: dir, Fsync: persist.FsyncRotate})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sp hh.Spec
+	if err := json.Unmarshal([]byte(spec), &sp); err != nil {
+		t.Fatal(err)
+	}
+	live, err := hh.NewFromSpec[string](sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const batch = 512
+	half := (len(keys) / (2 * batch)) * batch
+	var snapSeq, walSeq persist.Seq
+	logBatches := func(name string, seq *persist.Seq, part []string, apply bool) {
+		for lo := 0; lo < len(part); lo += batch {
+			b := part[lo:min(lo+batch, len(part))]
+			if err := store.AppendBatch(name, seq, b); err != nil {
+				t.Fatal(err)
+			}
+			if apply {
+				live.UpdateBatch(b)
+			}
+		}
+	}
+	if err := store.AppendCreate("snap", []byte(spec)); err != nil {
+		t.Fatal(err)
+	}
+	logBatches("snap", &snapSeq, keys[:half], true)
+	boundary, err := store.BeginSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var blob bytes.Buffer
+	if err := live.Encode(&blob); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.WriteSnapshot(boundary, []persist.SummarySnapshot{{
+		Name: "snap", Spec: json.RawMessage(spec), Seq: snapSeq.Load(),
+		N: live.N(), Len: live.Len(), Algorithm: "spacesaving", Blob: blob.Bytes(),
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	logBatches("snap", &snapSeq, keys[half:], false)
+	if err := store.AppendCreate("wal", []byte(spec)); err != nil {
+		t.Fatal(err)
+	}
+	logBatches("wal", &walSeq, keys, false)
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

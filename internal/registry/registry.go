@@ -475,13 +475,6 @@ func (e *Entry) IngestBatch(keys []string) error {
 	return nil
 }
 
-// Flush drains any ingest still queued in the live summary's pipeline
-// rings (a no-op unless the spec armed Pipeline). Ingest paths that
-// acknowledge durability — the hhwire listener's FlagAck reply — call
-// this so an ack only ever covers batches that have actually been
-// applied, not ones parked in a ring the process could still lose.
-func (e *Entry) Flush() { e.live.Flush() }
-
 // AbsorbBlob decodes one encoded summary blob (flat "HHSUM2" or
 // windowed "HHWIN2" — Decode detects the magic) and adds it to the
 // entry's merge set, returning the blob's stream mass. The blob must

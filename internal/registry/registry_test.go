@@ -11,9 +11,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -780,5 +782,40 @@ func TestConcurrentTraffic(t *testing.T) {
 	wantN := float64(len(keys) + 4*1000)
 	if math.Abs(top.N-wantN) > 1e-9 {
 		t.Errorf("final N = %v, want %v", top.N, wantN)
+	}
+}
+
+// TestRetiredPipelineFieldRefused: the "pipeline" spec field (the
+// retired ring-fed ingest tier) is no longer part of Spec. The config
+// file and PUT /v1/{name} decode specs strictly, so a stanza that still
+// carries it must fail loudly — a boot error and a 400 — rather than be
+// silently served by a different tier than the one it names.
+func TestRetiredPipelineFieldRefused(t *testing.T) {
+	path := t.TempDir() + "/serverd.json"
+	cfg := `{"summaries": {"words": {"capacity": 64, "shards": 4, "pipeline": true}}}`
+	if err := os.WriteFile(path, []byte(cfg), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := registry.LoadConfig(path); err == nil || !strings.Contains(err.Error(), `unknown field "pipeline"`) {
+		t.Errorf("LoadConfig with a pipeline stanza: err = %v, want an unknown-field error", err)
+	}
+
+	ts, reg := newTestServer(t, registry.Config{})
+	req, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/words",
+		strings.NewReader(`{"capacity": 64, "shards": 4, "pipeline": true}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), `unknown field \"pipeline\"`) {
+		t.Errorf("PUT with a pipeline spec: %d %s, want 400 naming the field", resp.StatusCode, body)
+	}
+	if _, ok := reg.Get("words"); ok {
+		t.Error("a refused spec created the summary anyway")
 	}
 }

@@ -12,7 +12,7 @@ import (
 // programs: a packet-flow trace (network monitoring, the paper's §1
 // "network measurements" motivation) and a search-query log (the "search
 // engine queries" motivation). Both substitute for proprietary traces with
-// the skewed distributions the paper assumes; see DESIGN.md §3.
+// the skewed distributions the paper assumes.
 
 // Flow is one packet arrival in a synthetic network trace.
 type Flow struct {

@@ -216,11 +216,8 @@ func (l *Listener) serveConn(c net.Conn) {
 		l.frames.Add(1)
 		l.items.Add(uint64(len(keys)))
 		if flags&FlagAck != 0 {
-			// An ack promises the batch is applied, not merely queued:
-			// with a pipelined summary (Spec.Pipeline) the batch may
-			// still be parked in a shard ring, so drain first. No-op for
-			// unpipelined summaries, so the common path stays free.
-			e.Flush()
+			// IngestBatch applies the batch before it returns, so the
+			// ack means "applied", not merely "queued".
 			ack = AppendAck(ack[:0], AckStatusOK)
 			if _, err := c.Write(ack); err != nil {
 				return

@@ -148,13 +148,12 @@ func TestListenerTCPIngestAndAck(t *testing.T) {
 	}
 }
 
-// With a pipelined summary the batch is parked in shard rings when
-// IngestBatch returns; the listener must drain them before answering
-// FlagAck so an ack always means "applied", and queries after the ack
-// must see the full mass.
-func TestListenerTCPAckFlushesPipeline(t *testing.T) {
+// An ack means "applied", not merely "queued": after FlagAck comes
+// back, queries on the sharded summary must see the mass of every frame
+// sent before it.
+func TestListenerTCPAckMeansApplied(t *testing.T) {
 	reg, err := registry.New(registry.Config{
-		Summaries: map[string]hh.Spec{"p": {Capacity: 64, Shards: 4, Pipeline: true}},
+		Summaries: map[string]hh.Spec{"p": {Capacity: 64, Shards: 4}},
 	})
 	if err != nil {
 		t.Fatal(err)

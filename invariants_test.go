@@ -240,11 +240,12 @@ func TestPropertyHeapAndListSameErrorBound(t *testing.T) {
 	}
 }
 
-// Quick sanity that stream generators and the concurrent wrapper compose
-// under the public API (integration smoke, distinct from unit paths).
+// Quick sanity that stream generators and the sharded concurrency tier
+// compose under the public API (integration smoke, distinct from unit
+// paths).
 func TestIntegrationConcurrentOnGeneratedStream(t *testing.T) {
 	s := stream.Zipf(1000, 1.2, 50000, stream.OrderRandom, 21)
-	c := hh.NewConcurrentUint64(4, 64)
+	c := hh.New[uint64](hh.WithConcurrent(), hh.WithShards(4), hh.WithCapacity(64))
 	truth := exact.FromStream(s)
 	for _, x := range s {
 		c.Update(x)

@@ -179,9 +179,9 @@ func MergeWeighted[K comparable](m, k int, summaries ...WeightedCounter[K]) *Spa
 // homogeneous shards the union's (k+1)-th item can be dropped from every
 // k-sparse recovery, making Merge's error at least f_{k+1}, which for
 // m ≫ k marginally exceeds the Theorem 11 bound (a boundary finding of
-// this reproduction; see EXPERIMENTS.md E9). MergeAll keeps the bound for
-// every item because an item a shard's summary dropped entirely has
-// frequency at most that shard's own error bound.
+// this reproduction; see E9Merge in internal/experiments). MergeAll
+// keeps the bound for every item because an item a shard's summary
+// dropped entirely has frequency at most that shard's own error bound.
 func MergeAll[K comparable](m int, summaries ...Counter[K]) *SpaceSavingR[K] {
 	entries := make([][]core.Entry[K], len(summaries))
 	for i, s := range summaries {

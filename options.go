@@ -42,10 +42,6 @@ type config struct {
 	// generation-tracked read snapshots on top of the composition.
 	concurrent bool
 
-	// Pipelined ingest (WithPipeline): per-shard single-writer worker
-	// goroutines fed by bounded SPSC rings, on top of WithShards.
-	pipeline bool
-
 	// Borrowed-key ingest (WithBorrowedKeys): the summary clones any
 	// key it retains, so callers may pass keys whose backing memory is
 	// reused after the call returns.
@@ -146,25 +142,6 @@ func WithShards(p int) Option {
 // "Concurrency" section for the full semantics.
 func WithConcurrent() Option {
 	return func(c *config) { c.concurrent = true }
-}
-
-// WithPipeline moves ingest onto per-shard single-writer worker
-// goroutines fed by bounded SPSC rings, on top of WithShards(p):
-// UpdateBatch partitions (and coalesces) a batch exactly as the locked
-// sharded path does, but enqueues each shard's sub-batch onto the
-// owning shard's ring and returns — the shard worker is the only
-// goroutine applying counter work in the steady state, so shard state
-// stays core-local and producers never stall on counter work, only on
-// a full ring (bounded memory, honest backpressure). Ingest becomes
-// asynchronous: a write is visible to queries once its shard worker
-// has applied it, and every query method drains the rings first, so a
-// single goroutine that writes then reads still observes its own
-// writes (Flush exposes the same barrier directly). Composes with
-// every sharded configuration, including WithConcurrent on top, whose
-// snapshot capture inherits the drain barrier. Requires WithShards;
-// New panics otherwise.
-func WithPipeline() Option {
-	return func(c *config) { c.pipeline = true }
 }
 
 // WithBorrowedKeys lets Update/UpdateBatch callers pass keys whose
@@ -418,9 +395,6 @@ func (c *config) resolve() error {
 			// permanently empty; clamp so every epoch holds >= 1 item.
 			c.epochs = int(c.window)
 		}
-	}
-	if c.pipeline && c.shards < 1 {
-		return fmt.Errorf("heavyhitters: WithPipeline requires WithShards")
 	}
 	if c.concurrent && !c.algo.deterministic() {
 		return fmt.Errorf("heavyhitters: WithConcurrent requires a deterministic counter algorithm, got %v (use WithShards alone for thread-safe sketches)", c.algo)

@@ -44,9 +44,6 @@ type Spec struct {
 	// Concurrent wraps the composition in the lock-free read tier
 	// (WithConcurrent).
 	Concurrent bool `json:"concurrent,omitempty"`
-	// Pipeline runs each shard behind a single-writer worker fed by a
-	// bounded ring (WithPipeline); requires Shards >= 1.
-	Pipeline bool `json:"pipeline,omitempty"`
 	// BorrowedKeys makes the summary clone retained keys so ingest
 	// paths may alias keys into reused buffers (WithBorrowedKeys).
 	BorrowedKeys bool `json:"borrowed_keys,omitempty"`
@@ -110,9 +107,6 @@ func (sp Spec) Options() ([]Option, error) {
 	}
 	if sp.Concurrent {
 		opts = append(opts, WithConcurrent())
-	}
-	if sp.Pipeline {
-		opts = append(opts, WithPipeline())
 	}
 	if sp.BorrowedKeys {
 		opts = append(opts, WithBorrowedKeys())

@@ -142,14 +142,6 @@ type Summary[K comparable] interface {
 	// against). The second result is false for unwindowed summaries,
 	// including WithDecay ones (decay has no ring).
 	Window() (WindowState, bool)
-	// Flush blocks until every previously issued update has been applied
-	// to the counter state. Synchronous summaries apply updates inline,
-	// so Flush is a no-op everywhere except under WithPipeline, whose
-	// ingest is asynchronous: there it drains the shard rings — the
-	// barrier every query method already takes implicitly. Call it to
-	// bound ingest latency explicitly (e.g. before tearing down a
-	// producer) without issuing a query.
-	Flush()
 	// Reset restores the empty state, retaining configuration.
 	Reset()
 }
@@ -163,6 +155,15 @@ type Result[K comparable] struct {
 	Lo, Hi     float64
 	Guaranteed bool
 }
+
+// Instantiate the New → newBackend → tier stack for both key shapes the
+// daemon serves. The compiler reports escape analysis for generic code
+// only where non-generic code instantiates it, so without these
+// scripts/escapecheck.sh would see none of the hot path in this package.
+var (
+	_ = New[string]
+	_ = New[uint64]
+)
 
 // New constructs a Summary from options; see Option and Algo for the
 // knobs. The zero-option call yields an unsharded SPACESAVING summary
@@ -186,12 +187,7 @@ func New[K comparable](opts ...Option) Summary[K] {
 	mk := func(shard int) backend[K] { return newBackend[K](cfg, shard, hash) }
 	var be backend[K]
 	if cfg.shards > 0 {
-		sb := newShardedBackend(cfg.shards, cfg.coalescible(), hash, mk)
-		if cfg.pipeline {
-			be = newPipelineTier(cfg, sb)
-		} else {
-			be = sb
-		}
+		be = newShardedBackend(cfg.shards, cfg.coalescible(), hash, mk)
 	} else {
 		be = mk(0)
 	}
@@ -400,18 +396,6 @@ func (s *summary[K]) Window() (WindowState, bool)            { return s.be.windo
 
 //hh:noalloc
 func (s *summary[K]) Reset() { s.be.reset() }
-
-// Flush drains the pipeline rings when the composition has them; every
-// other composition applies updates synchronously and returns at once.
-func (s *summary[K]) Flush() {
-	be := s.be
-	if ct, ok := be.(*concurrentTier[K]); ok {
-		be = ct.inner
-	}
-	if pt, ok := be.(*pipelineTier[K]); ok {
-		pt.flush()
-	}
-}
 
 func (s *summary[K]) Top(k int) []WeightedEntry[K] {
 	if k <= 0 {
@@ -1060,9 +1044,10 @@ func (b *shardedBackend[K]) coalesceInto(sc *batchScratch[K], items []K) {
 	}
 }
 
-// updateBatchN routes pre-coalesced groups (the pipeline tier re-submits
-// partitioned sub-batches through this) item by item; it is not on the
-// direct UpdateBatch hot path, which coalesces and locks per shard above.
+// updateBatchN routes pre-coalesced groups item by item. No composition
+// calls it today — the sharded tier is never an inner backend that is
+// handed coalesced groups, and UpdateBatch coalesces and locks per
+// shard above — but the backend[K] contract requires it.
 //
 //hh:noalloc
 func (b *shardedBackend[K]) updateBatchN(items []K, counts []uint32, _ []uint64) {

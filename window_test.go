@@ -208,8 +208,8 @@ func TestWindowHeavyHittersOracle(t *testing.T) {
 }
 
 // TestWindowBatchMatchesUnit is the batch-kernel equivalence matrix:
-// across algo × window × shard × pipeline × arena compositions, batch
-// ingestion must be bit-identical to per-item ingestion — including
+// across algo × window × shard × arena compositions, batch ingestion
+// must be bit-identical to per-item ingestion — including
 // rotation splits landing in identical epoch layouts. Where the
 // sharded tier coalesces (counter algorithms other than LOSSYCOUNTING),
 // the per-item reference replays each batch in first-occurrence-grouped
@@ -223,35 +223,30 @@ func TestWindowBatchMatchesUnit(t *testing.T) {
 	for _, algo := range []hh.Algo{hh.AlgoSpaceSaving, hh.AlgoFrequent, hh.AlgoLossyCounting} {
 		for _, window := range []uint64{0, 4096} {
 			for _, shards := range []int{0, 4} {
-				for _, pipeline := range []bool{false, true} {
-					if pipeline && shards == 0 {
-						continue // WithPipeline requires WithShards
-					}
-					for _, arena := range []bool{false, true} {
-						name := fmt.Sprintf("%v/window=%d/shards=%d/pipeline=%v/arena=%v",
-							algo, window, shards, pipeline, arena)
-						t.Run(name, func(t *testing.T) {
-							opts := []hh.Option{hh.WithAlgorithm(algo), hh.WithCapacity(64)}
-							if window != 0 {
-								opts = append(opts, hh.WithWindow(window), hh.WithEpochs(4))
-							}
-							if shards != 0 {
-								opts = append(opts, hh.WithShards(shards))
-							}
-							if pipeline {
-								opts = append(opts, hh.WithPipeline())
-							}
-							if arena {
-								opts = append(opts, hh.WithArena())
-							}
-							coalesced := shards > 0 && algo != hh.AlgoLossyCounting
-							if arena {
-								runBatchUnitEquiv(t, opts, strKeys(str), stride, coalesced, 500)
-							} else {
-								runBatchUnitEquiv(t, opts, str, stride, coalesced, 500)
-							}
-						})
-					}
+				for _, arena := range []bool{false, true} {
+					// The constant pipeline=false segment keeps each case's
+					// name stable from when the matrix also ran an
+					// asynchronous ring-fed tier, so test history lines up.
+					name := fmt.Sprintf("%v/window=%d/shards=%d/pipeline=false/arena=%v",
+						algo, window, shards, arena)
+					t.Run(name, func(t *testing.T) {
+						opts := []hh.Option{hh.WithAlgorithm(algo), hh.WithCapacity(64)}
+						if window != 0 {
+							opts = append(opts, hh.WithWindow(window), hh.WithEpochs(4))
+						}
+						if shards != 0 {
+							opts = append(opts, hh.WithShards(shards))
+						}
+						if arena {
+							opts = append(opts, hh.WithArena())
+						}
+						coalesced := shards > 0 && algo != hh.AlgoLossyCounting
+						if arena {
+							runBatchUnitEquiv(t, opts, strKeys(str), stride, coalesced, 500)
+						} else {
+							runBatchUnitEquiv(t, opts, str, stride, coalesced, 500)
+						}
+					})
 				}
 			}
 		}
@@ -275,7 +270,6 @@ func runBatchUnitEquiv[K comparable](t *testing.T, opts []hh.Option, str []K, st
 		}
 		batch.UpdateBatch(chunk)
 	}
-	batch.Flush()
 	if u, b := unit.N(), batch.N(); u != b {
 		t.Fatalf("N: unit %v, batch %v", u, b)
 	}
