@@ -15,6 +15,10 @@ import (
 	"unsafe"
 
 	hh "repro"
+	"repro/internal/arena"
+	"repro/internal/core"
+	"repro/internal/frequent"
+	"repro/internal/spacesaving"
 	"repro/internal/stream"
 	"repro/internal/testutil"
 )
@@ -24,46 +28,148 @@ var arenaAlgos = []hh.Algo{hh.AlgoSpaceSaving, hh.AlgoFrequent}
 
 // TestArenaMatchesMapPath is the differential test: the same
 // deterministic algorithm fed the same stream must produce exactly the
-// same counters with and without the arena.
+// same counters with and without the arena — through per-item Update,
+// integral-weight UpdateWeighted (AddN), and UpdateBatch (the two-pass
+// AddNBatch kernel with partition hashes, on sharded summaries), all
+// under eviction churn (m = 512 against a 2^16-key universe).
 func TestArenaMatchesMapPath(t *testing.T) {
 	s := stream.Zipf(200_000, 1.07, 1<<16, stream.OrderRandom, 7)
+	keys := make([]string, len(s))
+	for i, x := range s {
+		keys[i] = strconv.FormatUint(x, 10)
+	}
+	ingests := []struct {
+		name string
+		feed func(hh.Summary[string])
+	}{
+		{"update", func(sum hh.Summary[string]) {
+			for _, k := range keys {
+				sum.Update(k)
+			}
+		}},
+		{"addn", func(sum hh.Summary[string]) {
+			for i, k := range keys {
+				sum.UpdateWeighted(k, float64(1+i%4))
+			}
+		}},
+		{"batch", func(sum hh.Summary[string]) {
+			for lo := 0; lo < len(keys); lo += 1024 {
+				sum.UpdateBatch(keys[lo:min(lo+1024, len(keys))])
+			}
+		}},
+	}
 	for _, a := range arenaAlgos {
 		for _, opts := range [][]hh.Option{
 			nil,
 			{hh.WithWindow(32_768), hh.WithEpochs(4)},
 			{hh.WithShards(4)},
 		} {
-			base := append([]hh.Option{hh.WithAlgorithm(a), hh.WithCapacity(512), hh.WithSeed(11)}, opts...)
-			plain := hh.New[string](base...)
-			arened := hh.New[string](append(base, hh.WithArena())...)
-			if _, ok := arened.Memory(); !ok {
-				t.Fatalf("%v %v: WithArena summary reports no arena footprint", a, opts)
-			}
-			if _, ok := plain.Memory(); ok {
-				t.Fatalf("%v %v: map-path summary claims an arena footprint", a, opts)
-			}
-			for _, x := range s {
-				k := strconv.FormatUint(x, 10)
-				plain.Update(k)
-				arened.Update(k)
-			}
-			if pn, an := plain.N(), arened.N(); pn != an {
-				t.Fatalf("%v %v: N %v != %v", a, opts, pn, an)
-			}
-			pt, at := plain.TopAppend(nil, 512), arened.TopAppend(nil, 512)
-			if len(pt) != len(at) {
-				t.Fatalf("%v %v: tracked %d != %d", a, opts, len(pt), len(at))
-			}
-			for i := range pt {
-				if pt[i] != at[i] {
-					t.Fatalf("%v %v: entry %d: map %+v arena %+v", a, opts, i, pt[i], at[i])
+			for _, in := range ingests {
+				base := append([]hh.Option{hh.WithAlgorithm(a), hh.WithCapacity(512), hh.WithSeed(11)}, opts...)
+				plain := hh.New[string](base...)
+				arened := hh.New[string](append(base, hh.WithArena())...)
+				if _, ok := arened.Memory(); !ok {
+					t.Fatalf("%v %v: WithArena summary reports no arena footprint", a, opts)
+				}
+				if _, ok := plain.Memory(); ok {
+					t.Fatalf("%v %v: map-path summary claims an arena footprint", a, opts)
+				}
+				in.feed(plain)
+				in.feed(arened)
+				if pn, an := plain.N(), arened.N(); pn != an {
+					t.Fatalf("%v %v %s: N %v != %v", a, opts, in.name, pn, an)
+				}
+				pt, at := plain.TopAppend(nil, 512), arened.TopAppend(nil, 512)
+				if len(pt) != len(at) {
+					t.Fatalf("%v %v %s: tracked %d != %d", a, opts, in.name, len(pt), len(at))
+				}
+				for i := range pt {
+					if pt[i] != at[i] {
+						t.Fatalf("%v %v %s: entry %d: map %+v arena %+v", a, opts, in.name, i, pt[i], at[i])
+					}
+				}
+				for _, e := range pt[:10] {
+					plo, phi := plain.EstimateBounds(e.Item)
+					alo, ahi := arened.EstimateBounds(e.Item)
+					if plo != alo || phi != ahi {
+						t.Fatalf("%v %v %s: bounds(%q): map [%v,%v] arena [%v,%v]", a, opts, in.name, e.Item, plo, phi, alo, ahi)
+					}
 				}
 			}
-			for _, e := range pt[:10] {
-				plo, phi := plain.EstimateBounds(e.Item)
-				alo, ahi := arened.EstimateBounds(e.Item)
-				if plo != alo || phi != ahi {
-					t.Fatalf("%v %v: bounds(%q): map [%v,%v] arena [%v,%v]", a, opts, e.Item, plo, phi, alo, ahi)
+		}
+	}
+	t.Run("kernels", func(t *testing.T) { arenaKernelsMatchMap(t, keys) })
+}
+
+// batchKernel is the structure-level surface the batch kernels share.
+type batchKernel interface {
+	AddN(item string, n uint64)
+	AddNBatch(items []string, counts []uint32, hashes []uint64)
+	Entries() []core.Entry[string]
+}
+
+// arenaKernelsMatchMap drives the bare structures, where AddNBatch can
+// be called without partition hashes (the kernel then hashes each key
+// itself): the map path, the arena path hashing in the kernel, and the
+// arena path handed the partition hashes must agree entry for entry
+// after every round of coalesced batches interleaved with AddN.
+func arenaKernelsMatchMap(t *testing.T, keys []string) {
+	const m, seed = 512, 11
+	hasher := arena.NewStringIndex(1, seed) // the keyHasher family, for partition hashes
+	builds := map[string]func(arenaOn bool) batchKernel{
+		"spacesaving": func(arenaOn bool) batchKernel {
+			s := spacesaving.New[string](m)
+			if arenaOn {
+				s.EnableArena(seed)
+			}
+			return s
+		},
+		"frequent": func(arenaOn bool) batchKernel {
+			f := frequent.New[string](m)
+			if arenaOn {
+				f.EnableArena(seed)
+			}
+			return f
+		},
+	}
+	for name, build := range builds {
+		plain, selfHashed, handed := build(false), build(true), build(true)
+		for lo := 0; lo < len(keys); lo += 1024 {
+			// Coalesce the batch as the partitioner does: distinct keys in
+			// first-occurrence order, with counts.
+			var items []string
+			var counts []uint32
+			var hashes []uint64
+			at := map[string]int{}
+			for _, k := range keys[lo:min(lo+1024, len(keys))] {
+				if i, ok := at[k]; ok {
+					counts[i]++
+					continue
+				}
+				at[k] = len(items)
+				items = append(items, k)
+				counts = append(counts, 1)
+				hashes = append(hashes, hasher.Hash(k))
+			}
+			plain.AddNBatch(items, counts, nil)
+			selfHashed.AddNBatch(items, counts, nil)
+			handed.AddNBatch(items, counts, hashes)
+			for i := 0; i < 32; i++ {
+				k, n := items[(i*37)%len(items)], uint64(1+i%5)
+				plain.AddN(k, n)
+				selfHashed.AddN(k, n)
+				handed.AddN(k, n)
+			}
+			want := plain.Entries()
+			for side, k := range map[string]batchKernel{"self-hashed": selfHashed, "handed hashes": handed} {
+				got := k.Entries()
+				if len(got) != len(want) {
+					t.Fatalf("%s %s after batch at %d: %d entries, map path %d", name, side, lo, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%s %s after batch at %d: entry %d = %+v, map path %+v", name, side, lo, i, got[i], want[i])
+					}
 				}
 			}
 		}

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -105,6 +106,29 @@ func runJSON(path string, n uint64, universe int, seed uint64, m int, smoke bool
 			fmt.Fprintf(os.Stderr, "%-45s %8.2f M items/s  %6.1f ns/op  %.3f allocs/op\n",
 				rec.Name, rec.ItemsPerSec/1e6, rec.NsPerOp, rec.AllocsPerOp)
 		}
+	}
+	// Served rows: the composition the daemon's registry builds for every
+	// counter summary (string keys, WithConcurrent, WithArena,
+	// WithBorrowedKeys) on the two shapes its ingest sees most — burst
+	// frames into 8 shards, and all-distinct hashed keys into m=64k,
+	// where every item is a miss plus an eviction. The uint64 rows above
+	// hash with mix64 and the map index, so they cannot show what the
+	// string hash and the arena index cost.
+	burstKeys := make([]string, len(burst))
+	for i, x := range burst {
+		burstKeys[i] = strconv.FormatUint(x, 10)
+	}
+	hexKeys := make([]string, n)
+	for i := range hexKeys {
+		hexKeys[i] = fmt.Sprintf("%016x", uint64(i)*0x9e3779b97f4a7c15) // odd multiplier: a bijection, so all distinct
+	}
+	for _, rec := range []benchjson.Record{
+		measureServed("burst-1.3-dup0.9", 8, m, burstKeys),
+		measureServed("all-distinct-hex", 0, servedDistinctM, hexKeys),
+	} {
+		report.Add(rec)
+		fmt.Fprintf(os.Stderr, "%-45s %8.2f M items/s  %6.1f ns/op  %.3f allocs/op\n",
+			rec.Name, rec.ItemsPerSec/1e6, rec.NsPerOp, rec.AllocsPerOp)
 	}
 	// Contended-ingest rows: the concurrency tier under 1/4/8 writer
 	// goroutines, a mixed reader+writer run, and the per-item Update
@@ -270,13 +294,7 @@ func timeContended(name string, s []uint64, writers, batch int, sum hh.Summary[u
 // move the reported number, which keeps the CI gate stable.
 const measurePasses = 5
 
-// measureIngest times one configuration: the summary is warmed with a
-// full pass (filling counters and growing maps to steady state), then
-// measurePasses further passes over the same stream are timed — the
-// fastest one is reported — with allocation counters read around all of
-// them. Warming first means the reported allocs/op reflect the
-// steady-state hot path, which is the regression the CI gate guards —
-// construction cost is a one-off.
+// measureIngest times one configuration through timeBatches.
 func measureIngest(a hh.Algo, workload string, shards int, window uint64, s []uint64, m int) benchjson.Record {
 	return measureIngestFamily("ingest", a, workload, shards, window, s, m)
 }
@@ -291,11 +309,43 @@ func measureIngestFamily(family string, a hh.Algo, workload string, shards int, 
 	if window > 0 {
 		opts = append(opts, hh.WithWindow(window))
 	}
-	sum := hh.New[uint64](opts...)
+	rec := timeBatches(hh.New[uint64](opts...), s)
+	rec.Name = fmt.Sprintf("%s/%v/%s/%s", family, a, workload, shardingName(shards, window))
+	rec.Algo = a.String()
+	rec.Workload = workload
+	rec.Shards = shards
+	return rec
+}
+
+// servedDistinctM is the capacity of the served all-distinct row, the
+// m=65536 of the serving benchmark's all-distinct workload.
+const servedDistinctM = 65536
+
+// measureServed times SPACESAVING in the composition the daemon's
+// registry serves (see the served rows in runJSON).
+func measureServed(workload string, shards, m int, keys []string) benchjson.Record {
+	opts := []hh.Option{hh.WithCapacity(m), hh.WithConcurrent(), hh.WithArena(), hh.WithBorrowedKeys()}
+	if shards > 0 {
+		opts = append(opts, hh.WithShards(shards))
+	}
+	rec := timeBatches(hh.New[string](opts...), keys)
+	rec.Name = fmt.Sprintf("served/%v/%s/%s", hh.AlgoSpaceSaving, workload, shardingName(shards, 0))
+	rec.Algo = hh.AlgoSpaceSaving.String()
+	rec.Workload = workload
+	rec.Shards = shards
+	return rec
+}
+
+// timeBatches feeds s to sum in jsonBatch-sized UpdateBatch calls: one
+// warming pass (filling counters and growing maps to steady state),
+// then measurePasses timed passes, reporting the fastest, with
+// allocation counters read around all of them. Warming first means the
+// reported allocs/op reflect the steady-state hot path, which is the
+// regression the CI gate guards — construction cost is a one-off.
+func timeBatches[K comparable](sum hh.Summary[K], s []K) benchjson.Record {
 	ingest := func() {
 		for lo := 0; lo < len(s); lo += jsonBatch {
-			hi := min(lo+jsonBatch, len(s))
-			sum.UpdateBatch(s[lo:hi])
+			sum.UpdateBatch(s[lo:min(lo+jsonBatch, len(s))])
 		}
 	}
 	ingest() // warm
@@ -311,14 +361,8 @@ func measureIngestFamily(family string, a hh.Algo, workload string, shards int, 
 		}
 	}
 	runtime.ReadMemStats(&after)
-
 	n := float64(len(s))
-	name := fmt.Sprintf("%s/%v/%s/%s", family, a, workload, shardingName(shards, window))
 	return benchjson.Record{
-		Name:        name,
-		Algo:        a.String(),
-		Workload:    workload,
-		Shards:      shards,
 		Batch:       jsonBatch,
 		Items:       uint64(len(s)),
 		NsPerOp:     float64(elapsed.Nanoseconds()) / n,

@@ -25,7 +25,10 @@
 //   - The index uses linear probing with the full 64-bit hash cached per
 //     slot (probes compare hashes before touching key bytes) and
 //     tombstone-free backward-shift deletion, so lookup cost does not
-//     degrade as evictions churn the table. Growth doubles the slot
+//     degrade as evictions churn the table. Callers hash a key once and
+//     pass the hash to lookup and insert; deletion finds its slot from
+//     the low 32 bits of the hash and the stored value (a node index,
+//     unique among live keys), so evicting a key never reads its bytes. Growth doubles the slot
 //     array with a stop-the-world rehash: the counter structures hold
 //     at most m live keys and the index is pre-sized for m at
 //     construction, so rehash never fires on the steady-state path —

@@ -1,6 +1,7 @@
 package arena
 
 import (
+	"math/bits"
 	"reflect"
 	"strings"
 	"unsafe"
@@ -14,10 +15,13 @@ import (
 // back slab-aliased views, which is why exported entries must pass
 // through Materialize.
 type Index[K comparable] interface {
-	// Get returns the slot stored for k.
+	// Get returns the slot stored for k, and k's index hash for a
+	// following Put or Delete of k — a miss then inserts without hashing
+	// the key again. The map implementation returns hash 0 (Go maps hash
+	// internally, and its Put and Delete ignore the hash).
 	//
 	//hh:noalloc
-	Get(k K) (int32, bool)
+	Get(k K) (v int32, h uint64, ok bool)
 	// GetHashed is Get with the key hash precomputed by the caller. The
 	// hash must come from the same seeded FNV-1a family this index was
 	// built with (the root package's keyHasher) — the sharded batch
@@ -27,17 +31,21 @@ type Index[K comparable] interface {
 	//
 	//hh:noalloc
 	GetHashed(k K, h uint64) (int32, bool)
-	// Put stores k → v and returns the retained key: k itself on the
-	// map path, a slab-aliased view on the arena path. The structure
-	// must store the returned key, not k.
+	// Put stores k → v, where h is k's index hash (from Get or the
+	// partition hash), and returns the retained key: k itself on the map
+	// path, a slab-aliased view on the arena path. The structure must
+	// store the returned key, not k.
 	//
 	//hh:noalloc
-	Put(k K, v int32) K
-	// Delete removes k, recycling its arena region; every alias of the
-	// retained key becomes invalid.
+	Put(k K, h uint64, v int32) K
+	// Delete removes the entry for k, recycling its arena region; every
+	// alias of the retained key becomes invalid. h32 is the low 32 bits
+	// of k's index hash and v its stored value: the arena path finds the
+	// slot by (h32, v) without reading k's bytes (values are node
+	// indices, unique among live keys); the map path deletes k.
 	//
 	//hh:noalloc
-	Delete(k K)
+	Delete(k K, h32 uint32, v int32)
 	// Len returns the number of stored keys.
 	//
 	//hh:noalloc
@@ -93,16 +101,16 @@ func asK[K comparable](s string) K { return *(*K)(unsafe.Pointer(&s)) }
 type Map[K comparable] map[K]int32
 
 //hh:noalloc
-func (ix Map[K]) Get(k K) (int32, bool) { v, ok := ix[k]; return v, ok }
+func (ix Map[K]) Get(k K) (int32, uint64, bool) { v, ok := ix[k]; return v, 0, ok }
 
 //hh:noalloc
 func (ix Map[K]) GetHashed(k K, _ uint64) (int32, bool) { v, ok := ix[k]; return v, ok }
 
 //hh:noalloc
-func (ix Map[K]) Put(k K, v int32) K { ix[k] = v; return k }
+func (ix Map[K]) Put(k K, _ uint64, v int32) K { ix[k] = v; return k }
 
 //hh:noalloc
-func (ix Map[K]) Delete(k K) { delete(ix, k) }
+func (ix Map[K]) Delete(k K, _ uint32, _ int32) { delete(ix, k) }
 
 //hh:noalloc
 func (ix Map[K]) Len() int { return len(ix) }
@@ -122,16 +130,20 @@ type strIndex[K comparable] struct {
 }
 
 //hh:noalloc
-func (w strIndex[K]) Get(k K) (int32, bool) { return w.ix.Get(asString(k)) }
+func (w strIndex[K]) Get(k K) (int32, uint64, bool) {
+	h := w.ix.Hash(asString(k))
+	v, ok := w.ix.GetHashed(asString(k), h)
+	return v, h, ok
+}
 
 //hh:noalloc
 func (w strIndex[K]) GetHashed(k K, h uint64) (int32, bool) { return w.ix.GetHashed(asString(k), h) }
 
 //hh:noalloc
-func (w strIndex[K]) Put(k K, v int32) K { return asK[K](w.ix.Put(asString(k), v)) }
+func (w strIndex[K]) Put(k K, h uint64, v int32) K { return asK[K](w.ix.Put(asString(k), h, v)) }
 
 //hh:noalloc
-func (w strIndex[K]) Delete(k K) { w.ix.Delete(asString(k)) }
+func (w strIndex[K]) Delete(_ K, h32 uint32, v int32) { w.ix.Delete(h32, v) }
 
 //hh:noalloc
 func (w strIndex[K]) Len() int { return w.ix.Len() }
@@ -165,6 +177,7 @@ type StringIndex struct {
 	ar     Arena
 	slots  []slot
 	mask   uint64
+	shift  uint // 64 − log2(len(slots)), for home
 	seed   uint64
 	live   int
 	growAt int // live threshold (3/4 load) that triggers doubling
@@ -178,6 +191,7 @@ func NewStringIndex(m int, seed uint64) *StringIndex {
 	x := &StringIndex{
 		slots:  make([]slot, n),
 		mask:   uint64(n - 1),
+		shift:  uint(64 - bits.TrailingZeros(uint(n))),
 		seed:   seed,
 		growAt: n * 3 / 4,
 	}
@@ -208,38 +222,43 @@ func hashString(s string, seed uint64) uint64 {
 	return h
 }
 
+// home returns the home slot of a key whose hash has low 32 bits h32:
+// a Fibonacci hash (the top bits of h32 · 2^64/φ), so every bit of the
+// fragment reaches the slot number. Reading the hash's low bits
+// directly would not do: a sharded summary places keys by h mod p, so
+// within one shard's index those bits are constant and all but 1/p of
+// the home slots would go unused. Taking only the low 32 bits is what
+// lets Delete find a slot from the fragment a node keeps; the table
+// never passes 2^32 slots (see Delete), so they hold enough bits.
+//
+//hh:noalloc
+func (x *StringIndex) home(h32 uint32) uint64 {
+	return (uint64(h32) * 0x9e3779b97f4a7c15) >> x.shift
+}
+
+// Hash returns k's index hash: the seeded FNV-1a of the keyHasher
+// family, the value Put and GetHashed take.
+//
+//hh:noalloc
+func (x *StringIndex) Hash(k string) uint64 { return hashString(k, x.seed) }
+
 // Get returns the slot stored for k.
 //
 //hh:noalloc
-func (x *StringIndex) Get(k string) (int32, bool) {
-	if x.live == 0 {
-		return 0, false
-	}
-	h := hashString(k, x.seed)
-	i := h & x.mask
-	for {
-		s := &x.slots[i]
-		if s.off == refNil {
-			return 0, false
-		}
-		if s.hash == h && int(s.klen) == len(k) && x.ar.view(s.off, int(s.klen)) == k {
-			return s.val, true
-		}
-		i = (i + 1) & x.mask
-	}
-}
+func (x *StringIndex) Get(k string) (int32, bool) { return x.GetHashed(k, hashString(k, x.seed)) }
 
-// GetHashed is Get with h = hashString(k, x.seed) precomputed by the
-// caller — the two-pass batch kernels hand down the partition hash
+// GetHashed is Get with h = Hash(k) precomputed by the caller — the
+// counter structures hash a key once and reuse the hash down the miss
+// path, and the two-pass batch kernels hand down the partition hash
 // (the identical keyHasher FNV-1a family with the identical seed), so
-// a batch probe pass touches only the slot array and key bytes.
+// a probe touches only the slot array and key bytes.
 //
 //hh:noalloc
 func (x *StringIndex) GetHashed(k string, h uint64) (int32, bool) {
 	if x.live == 0 {
 		return 0, false
 	}
-	i := h & x.mask
+	i := x.home(uint32(h))
 	for {
 		s := &x.slots[i]
 		if s.off == refNil {
@@ -253,16 +272,16 @@ func (x *StringIndex) GetHashed(k string, h uint64) (int32, bool) {
 }
 
 // Put interns k into the arena, stores k → v, and returns the
-// slab-aliased view of the retained key. Re-putting a stored key
-// overwrites its value and returns the existing view (no second copy).
+// slab-aliased view of the retained key; h must be Hash(k). Re-putting
+// a stored key overwrites its value and returns the existing view (no
+// second copy).
 //
 //hh:noalloc
-func (x *StringIndex) Put(k string, v int32) string {
+func (x *StringIndex) Put(k string, h uint64, v int32) string {
 	if x.live >= x.growAt {
 		x.grow()
 	}
-	h := hashString(k, x.seed)
-	i := h & x.mask
+	i := x.home(uint32(h))
 	for {
 		s := &x.slots[i]
 		if s.off == refNil {
@@ -280,29 +299,33 @@ func (x *StringIndex) Put(k string, v int32) string {
 	}
 }
 
-// Delete removes k and recycles its region. Backward shift keeps every
-// surviving key's probe chain unbroken without tombstones, so the
-// table never degrades under eviction churn.
+// Delete removes the entry whose hash has low 32 bits h32 and whose
+// value is v, and recycles its region; a missing entry is a no-op.
+// Matching on the value instead of the key never reads key bytes — the
+// counter structures delete an evicted node's key, whose bytes are
+// cold, by its node index and the hash fragment the node keeps. Values
+// must be unique among live entries; node indices are non-negative
+// int32s, so at most 2^31 entries are live and the table never passes
+// 2^32 slots. Backward shift keeps every surviving key's probe chain
+// unbroken without tombstones, so the table never degrades under
+// eviction churn.
 //
 //hh:noalloc
-func (x *StringIndex) Delete(k string) {
+func (x *StringIndex) Delete(h32 uint32, v int32) {
 	if x.live == 0 {
 		return
 	}
-	h := hashString(k, x.seed)
-	i := h & x.mask
+	i := x.home(h32)
 	for {
 		s := &x.slots[i]
 		if s.off == refNil {
 			return
 		}
-		if s.hash == h && int(s.klen) == len(k) && x.ar.view(s.off, int(s.klen)) == k {
+		if s.val == v && uint32(s.hash) == h32 {
 			break
 		}
 		i = (i + 1) & x.mask
 	}
-	// The probe above finished with the key bytes; release may now
-	// overwrite them with the freelist link.
 	x.ar.release(x.slots[i].off, int(x.slots[i].klen))
 	x.live--
 	j := i
@@ -314,7 +337,7 @@ func (x *StringIndex) Delete(k string) {
 		}
 		// Slot j may move back to i only if its probe chain reaches back
 		// that far: distance(home→j) >= distance(i→j).
-		if (j-(s.hash&x.mask))&x.mask >= (j-i)&x.mask {
+		if (j-x.home(uint32(s.hash)))&x.mask >= (j-i)&x.mask {
 			x.slots[i] = s
 			i = j
 		}
@@ -331,6 +354,7 @@ func (x *StringIndex) grow() {
 	n := 2 * len(old)
 	x.slots = make([]slot, n) //hh:allocok power-of-two growth; pre-sizing keeps this off the steady-state path
 	x.mask = uint64(n - 1)
+	x.shift--
 	x.growAt = n * 3 / 4
 	for i := range x.slots {
 		x.slots[i].off = refNil
@@ -339,7 +363,7 @@ func (x *StringIndex) grow() {
 		if s.off == refNil {
 			continue
 		}
-		i := s.hash & x.mask
+		i := x.home(uint32(s.hash))
 		for x.slots[i].off != refNil {
 			i = (i + 1) & x.mask
 		}

@@ -3,6 +3,7 @@ package arena
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -18,6 +19,13 @@ func TestClassFor(t *testing.T) {
 	}
 }
 
+// put and del drive the hashed insert and the value-matched delete the
+// way the counter structures do: hash once, delete by (hash fragment,
+// stored value).
+func put(x *StringIndex, k string, v int32) string { return x.Put(k, x.Hash(k), v) }
+
+func del(x *StringIndex, k string, v int32) { x.Delete(uint32(x.Hash(k)), v) }
+
 // TestStringIndexBasic drives the fundamental operations, including
 // empty-string keys and value overwrites.
 func TestStringIndexBasic(t *testing.T) {
@@ -25,18 +33,18 @@ func TestStringIndexBasic(t *testing.T) {
 	if _, ok := x.Get("a"); ok {
 		t.Fatal("Get on empty index reported a hit")
 	}
-	ka := x.Put("a", 1)
+	ka := put(x, "a", 1)
 	if ka != "a" {
 		t.Fatalf("Put returned %q, want \"a\"", ka)
 	}
 	if v, ok := x.Get("a"); !ok || v != 1 {
 		t.Fatalf("Get(a) = %d, %v", v, ok)
 	}
-	x.Put("a", 2)
+	put(x, "a", 2)
 	if v, _ := x.Get("a"); v != 2 {
 		t.Fatalf("overwrite: Get(a) = %d, want 2", v)
 	}
-	if k := x.Put("", 3); k != "" {
+	if k := put(x, "", 3); k != "" {
 		t.Fatalf("Put(\"\") returned %q", k)
 	}
 	if v, ok := x.Get(""); !ok || v != 3 {
@@ -45,11 +53,15 @@ func TestStringIndexBasic(t *testing.T) {
 	if x.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", x.Len())
 	}
-	x.Delete("a")
+	del(x, "a", 1) // the value before the overwrite: must not match
+	if v, ok := x.Get("a"); !ok || v != 2 {
+		t.Fatalf("stale-value Delete removed a: Get(a) = %d, %v", v, ok)
+	}
+	del(x, "a", 2)
 	if _, ok := x.Get("a"); ok {
 		t.Fatal("Get after Delete reported a hit")
 	}
-	x.Delete("never-inserted") // must be a no-op
+	del(x, "never-inserted", 9) // must be a no-op
 	if x.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", x.Len())
 	}
@@ -67,11 +79,11 @@ func TestStringIndexBasic(t *testing.T) {
 // as unrelated churn recycles other regions.
 func TestStringIndexAliasStability(t *testing.T) {
 	x := NewStringIndex(8, 7)
-	keep := x.Put("long-lived-key", 42)
+	keep := put(x, "long-lived-key", 42)
 	for i := 0; i < 10000; i++ {
 		k := fmt.Sprintf("churn-%d", i)
-		x.Put(k, int32(i))
-		x.Delete(k)
+		put(x, k, int32(i))
+		del(x, k, int32(i))
 	}
 	if keep != "long-lived-key" {
 		t.Fatalf("retained view corrupted by churn: %q", keep)
@@ -87,18 +99,18 @@ func TestStringIndexBigKeys(t *testing.T) {
 	x := NewStringIndex(8, 3)
 	big := strings.Repeat("x", SlabSize+100)
 	bigger := strings.Repeat("y", 2*SlabSize)
-	x.Put(big, 1)
+	put(x, big, 1)
 	if v, ok := x.Get(big); !ok || v != 1 {
 		t.Fatalf("Get(big) = %d, %v", v, ok)
 	}
-	x.Delete(big)
+	del(x, big, 1)
 	slabs := x.Mem().Slabs
 	// A same-size big key must reuse the freed dedicated slab.
-	x.Put(big, 2)
+	put(x, big, 2)
 	if got := x.Mem().Slabs; got != slabs {
 		t.Fatalf("same-size big key did not recycle: %d slabs, had %d", got, slabs)
 	}
-	x.Put(bigger, 3)
+	put(x, bigger, 3)
 	for _, k := range []string{big, bigger} {
 		if _, ok := x.Get(k); !ok {
 			t.Fatalf("big key %d bytes lost", len(k))
@@ -106,9 +118,13 @@ func TestStringIndexBigKeys(t *testing.T) {
 	}
 }
 
-// applyOps drives an index and a map oracle through a randomized
-// op sequence and fails on the first divergence. Returned strings from
-// Put are checked for equality (they may alias the arena).
+// applyOps drives an index and a map oracle through a randomized op
+// sequence and fails on the first divergence: hashed inserts and
+// overwrites, value-matched deletes (with the live value, with a stale
+// one, and of absent keys), Get and GetHashed probes, and Resets.
+// Values are op indices, so they are unique among live keys as the
+// value-matched delete requires. Returned strings from Put are checked
+// for equality (they may alias the arena).
 func applyOps(t *testing.T, x *StringIndex, ops []byte) {
 	t.Helper()
 	oracle := map[string]int32{}
@@ -118,47 +134,60 @@ func applyOps(t *testing.T, x *StringIndex, ops []byte) {
 		n := int(b % 64)
 		return strings.Repeat("k", n%7) + fmt.Sprintf("key-%d-%s", n, strings.Repeat("pad", n%5))
 	}
+	check := func(i int, k string) {
+		want, in := oracle[k]
+		got, ok := x.Get(k)
+		hgot, hok := x.GetHashed(k, x.Hash(k))
+		if ok != in || hok != in || (in && (got != want || hgot != want)) {
+			t.Fatalf("op %d: Get(%q) = %d, %v; GetHashed = %d, %v; oracle %d, %v", i, k, got, ok, hgot, hok, want, in)
+		}
+	}
 	for i, op := range ops {
 		k := keyFor(op)
-		switch op % 4 {
-		case 0, 1: // insert/overwrite twice as likely as delete
+		switch op % 8 {
+		case 0, 1, 2: // insert/overwrite
 			v := int32(i)
-			ret := x.Put(k, v)
-			if ret != k {
+			if ret := put(x, k, v); ret != k {
 				t.Fatalf("op %d: Put(%q) returned %q", i, k, ret)
 			}
 			oracle[k] = v
-		case 2:
-			x.Delete(k)
+		case 3, 4: // delete by the live value; an absent key is a no-op
+			v, in := oracle[k]
+			if !in {
+				v = int32(i) // never stored
+			}
+			del(x, k, v)
 			delete(oracle, k)
-		case 3:
-			if op%8 == 3 {
+		case 5: // a stale or foreign value must not delete k
+			del(x, k, -1-int32(i))
+			check(i, k)
+		case 6:
+			check(i, k)
+		case 7:
+			if op%32 == 7 {
 				x.Reset()
 				clear(oracle)
+			} else {
+				check(i, k)
 			}
 		}
 		if x.Len() != len(oracle) {
 			t.Fatalf("op %d: Len = %d, oracle %d", i, x.Len(), len(oracle))
 		}
 	}
-	for k, want := range oracle {
-		if got, ok := x.Get(k); !ok || got != want {
-			t.Fatalf("final: Get(%q) = %d, %v; oracle %d", k, got, ok, want)
-		}
+	for k := range oracle {
+		check(len(ops), k)
 	}
 	// Probe a few known-absent keys.
 	for _, k := range []string{"absent", "", "zzz"} {
-		if _, inOracle := oracle[k]; !inOracle {
-			if _, ok := x.Get(k); ok {
-				t.Fatalf("phantom key %q", k)
-			}
-		}
+		check(len(ops), k)
 	}
 }
 
 // TestStringIndexOracle is the property test: randomized
-// insert/overwrite/delete/Reset sequences against a map[string]int32
-// oracle, at a deliberately tiny initial size so growth rehashes fire.
+// insert/overwrite/delete/probe/Reset sequences against a
+// map[string]int32 oracle, at a deliberately tiny initial size so
+// growth rehashes fire.
 func TestStringIndexOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for round := 0; round < 50; round++ {
@@ -166,6 +195,9 @@ func TestStringIndexOracle(t *testing.T) {
 		rng.Read(ops)
 		x := NewStringIndex(1, uint64(round)) // min-size: forces doubling
 		applyOps(t, x, ops)
+		if n := len(x.slots); n <= 8 {
+			t.Fatalf("round %d: table never grew past %d slots", round, n)
+		}
 	}
 }
 
@@ -179,6 +211,33 @@ func FuzzStringIndexOps(f *testing.F) {
 		}
 		applyOps(t, NewStringIndex(1, 99), ops)
 	})
+}
+
+// TestStringIndexShardProbeLength pins the home-slot choice: a sharded
+// summary hands each shard's index only keys with h ≡ s (mod p), so
+// within one shard the hash's low bits are constant. One shard's worth
+// of sequential decimal keys must still average at most two probes per
+// key, as in an unsharded index.
+func TestStringIndexShardProbeLength(t *testing.T) {
+	for _, p := range []uint64{1, 8} {
+		x := NewStringIndex(1024, 7)
+		for i, n := 0, 0; n < 1024; i++ {
+			k := strconv.Itoa(i)
+			if x.Hash(k)%p == 0 {
+				put(x, k, int32(n))
+				n++
+			}
+		}
+		var probes uint64
+		for i, s := range x.slots {
+			if s.off != refNil {
+				probes += (uint64(i)-x.home(uint32(s.hash)))&x.mask + 1
+			}
+		}
+		if mean := float64(probes) / float64(x.Len()); mean > 2 {
+			t.Errorf("keys of shard 0 of %d: mean probe length %.2f, want <= 2", p, mean)
+		}
+	}
 }
 
 // TestArenaBoundedGrowth is the eviction-churn invariant: an
@@ -195,16 +254,16 @@ func TestArenaBoundedGrowth(t *testing.T) {
 	// Fill to the live bound, tracking the live set in a ring so every
 	// delete names a key that is actually stored.
 	ring := make([]string, live)
+	// Each ring position owns value i%live, unique among live keys.
 	for i := range ring {
 		ring[i] = key(i)
-		x.Put(ring[i], int32(i))
+		put(x, ring[i], int32(i))
 	}
 	churn := func(n int) {
 		for i := 0; i < n; i++ {
-			old := ring[i%live]
+			del(x, ring[i%live], int32(i%live))
 			ring[i%live] = key(rng.Int())
-			x.Put(ring[i%live], int32(i))
-			x.Delete(old)
+			put(x, ring[i%live], int32(i%live))
 		}
 	}
 	churn(20 * live)
@@ -228,7 +287,7 @@ func TestArenaResetReuse(t *testing.T) {
 	x := NewStringIndex(512, 11)
 	fill := func() {
 		for i := 0; i < 512; i++ {
-			x.Put(fmt.Sprintf("key-%d-%s", i, strings.Repeat("f", i%33)), int32(i))
+			put(x, fmt.Sprintf("key-%d-%s", i, strings.Repeat("f", i%33)), int32(i))
 		}
 	}
 	fill()
@@ -245,8 +304,8 @@ func TestArenaResetReuse(t *testing.T) {
 
 func TestMapIndex(t *testing.T) {
 	ix := NewMap[uint64](8)
-	ix.Put(7, 1)
-	if v, ok := ix.Get(7); !ok || v != 1 {
+	ix.Put(7, 0, 1)
+	if v, _, ok := ix.Get(7); !ok || v != 1 {
 		t.Fatalf("Get = %d, %v", v, ok)
 	}
 	if k := ix.Materialize(7); k != 7 {
@@ -255,7 +314,7 @@ func TestMapIndex(t *testing.T) {
 	if _, ok := ix.Mem(); ok {
 		t.Fatal("map index claimed arena stats")
 	}
-	ix.Delete(7)
+	ix.Delete(7, 0, 1)
 	if ix.Len() != 0 {
 		t.Fatalf("Len = %d", ix.Len())
 	}
@@ -272,15 +331,23 @@ func TestNewForString(t *testing.T) {
 	if !ok {
 		t.Fatal("named string kind declined")
 	}
-	ret := ix.Put(tenant("t0"), 5)
+	_, h, ok := ix.Get(tenant("t0"))
+	if ok {
+		t.Fatal("Get on an empty index reported a hit")
+	}
+	ret := ix.Put(tenant("t0"), h, 5)
 	if ret != "t0" {
 		t.Fatalf("Put returned %q", ret)
 	}
-	if v, ok := ix.Get(tenant("t0")); !ok || v != 5 {
-		t.Fatalf("Get = %d, %v", v, ok)
+	if v, h2, ok := ix.Get(tenant("t0")); !ok || v != 5 || h2 != h {
+		t.Fatalf("Get = %d, %#x, %v; want 5, %#x", v, h2, ok, h)
 	}
 	m := ix.Materialize(ret)
 	if m != "t0" {
 		t.Fatalf("Materialize = %q", m)
+	}
+	ix.Delete(ret, uint32(h), 5)
+	if _, _, ok := ix.Get(tenant("t0")); ok || ix.Len() != 0 {
+		t.Fatalf("Delete left the key: Len = %d", ix.Len())
 	}
 }

@@ -39,6 +39,12 @@ type node[K comparable] struct {
 	item       K
 	grp        int32
 	prev, next int32
+	// hash is the low 32 bits of item's index hash on the arena path
+	// (zero on the map path): dismantling a group deletes each member's
+	// index entry by (hash, node index) without rehashing or re-reading
+	// its cold key bytes. It fills padding the struct already had, so
+	// node[string] stays 32 bytes and node[uint64] 24.
+	hash uint32
 }
 
 // Frequent is the O(1)-amortised FREQUENT implementation, slab-allocated:
@@ -76,9 +82,11 @@ type Frequent[K comparable] struct {
 	// (SetKeyClone) so callers may pass keys aliasing reused memory.
 	clone func(K) K
 	// probe is the hit-hint scratch of AddNBatch (one node index per
-	// batch key), reused across batches so steady-state batch ingest
-	// allocates nothing.
-	probe []int32
+	// batch key), and hashes the index hash of each key when the caller
+	// passes none; both are reused across batches so steady-state batch
+	// ingest allocates nothing.
+	probe  []int32
+	hashes []uint64
 }
 
 // SetKeyClone installs fn as the borrowed-key clone hook: every key the
@@ -133,28 +141,34 @@ func (f *Frequent[K]) lookup(item K) (int32, bool) {
 		nd, ok := f.fast[item]
 		return nd, ok
 	}
-	return f.items.Get(item)
+	nd, _, ok := f.items.Get(item)
+	return nd, ok
 }
 
 // store retains item → nd and returns the retained key (a slab view on
-// the arena path; item itself otherwise).
+// the arena path; item itself otherwise). h is item's index hash, from
+// the lookup that missed (allocNode already kept its low 32 bits in
+// the node for unstore).
 //
 //hh:noalloc
-func (f *Frequent[K]) store(item K, nd int32) K {
+func (f *Frequent[K]) store(item K, h uint64, nd int32) K {
 	if f.fast != nil {
 		f.fast[item] = nd
 		return item
 	}
-	return f.items.Put(item, nd)
+	return f.items.Put(item, h, nd)
 }
 
+// unstore drops node nd's key, whose hash fragment is h32, from the
+// index.
+//
 //hh:noalloc
-func (f *Frequent[K]) unstore(item K) {
+func (f *Frequent[K]) unstore(item K, h32 uint32, nd int32) {
 	if f.fast != nil {
 		delete(f.fast, item)
 		return
 	}
-	f.items.Delete(item)
+	f.items.Delete(item, h32, nd)
 }
 
 //hh:noalloc
@@ -206,10 +220,10 @@ func (f *Frequent[K]) initFreeLists() {
 }
 
 //hh:noalloc
-func (f *Frequent[K]) allocNode(item K) int32 {
+func (f *Frequent[K]) allocNode(item K, h uint64) int32 {
 	i := f.freeNode
 	f.freeNode = f.nodes[i].next
-	f.nodes[i] = node[K]{item: item, grp: nilIdx, prev: nilIdx, next: nilIdx}
+	f.nodes[i] = node[K]{item: item, grp: nilIdx, prev: nilIdx, next: nilIdx, hash: uint32(h)}
 	return i
 }
 
@@ -247,18 +261,19 @@ func (f *Frequent[K]) freeGroupIdx(i int32) {
 func (f *Frequent[K]) Update(item K) {
 	f.n++
 	var nd int32
+	var h uint64
 	var ok bool
 	if f.fast != nil {
 		nd, ok = f.fast[item]
 	} else {
-		nd, ok = f.items.Get(item)
+		nd, h, ok = f.items.Get(item)
 	}
 	if ok {
 		f.increment(nd)
 		return
 	}
 	if f.size() < f.m {
-		f.insert(item)
+		f.insert(item, h)
 		return
 	}
 	f.decrementAll()
@@ -279,18 +294,19 @@ func (f *Frequent[K]) AddN(item K, n uint64) {
 	}
 	f.n += n
 	var nd int32
+	var h uint64
 	var ok bool
 	if f.fast != nil {
 		nd, ok = f.fast[item]
 	} else {
-		nd, ok = f.items.Get(item)
+		nd, h, ok = f.items.Get(item)
 	}
 	if ok {
 		f.incrementN(nd, n)
 		return
 	}
 	if f.size() < f.m {
-		f.insertN(item, n)
+		f.insertN(item, h, n)
 		return
 	}
 	minCount := f.groups[f.head].sv - f.base
@@ -307,7 +323,7 @@ func (f *Frequent[K]) AddN(item K, n uint64) {
 	f.decrements += minCount
 	f.dismantleGroup(f.head) // sv == f.base now
 	if rem := n - minCount; rem > 0 {
-		f.insertN(item, rem)
+		f.insertN(item, h, rem)
 	}
 }
 
@@ -316,7 +332,8 @@ func (f *Frequent[K]) AddN(item K, n uint64) {
 // Batch keys must be pairwise distinct; a nil counts means every key
 // occurs once. hashes, when non-nil on an arena-backed structure, must
 // carry each key's keyHasher hash with the structure's seed (the
-// partition hash). On the arena index the kernel is two-pass,
+// partition hash); when nil, the probe pass hashes each key once. On
+// the arena index the kernel is two-pass,
 // mirroring spacesaving.AddNBatch: an index probe pass records hit
 // hints, an apply pass validates each hint against the live node (a
 // decrement in the same batch can dismantle the whole minimum group,
@@ -342,7 +359,7 @@ func (f *Frequent[K]) AddNBatch(items []K, counts []uint32, hashes []uint64) {
 				f.incrementN(nd, n)
 				continue
 			}
-			f.addNMiss(it, n)
+			f.addNMiss(it, 0, n)
 		}
 		return
 	}
@@ -356,13 +373,16 @@ func (f *Frequent[K]) AddNBatch(items []K, counts []uint32, hashes []uint64) {
 			f.probe = append(f.probe, nd)
 		}
 	} else {
+		f.hashes = f.hashes[:0]
 		for _, it := range items {
-			nd, ok := f.items.Get(it)
+			nd, h, ok := f.items.Get(it)
 			if !ok {
 				nd = nilIdx
 			}
 			f.probe = append(f.probe, nd)
+			f.hashes = append(f.hashes, h)
 		}
+		hashes = f.hashes
 	}
 	for i, it := range items {
 		n := uint64(1)
@@ -377,18 +397,19 @@ func (f *Frequent[K]) AddNBatch(items []K, counts []uint32, hashes []uint64) {
 			f.incrementN(nd, n)
 			continue
 		}
-		f.addNMiss(it, n)
+		f.addNMiss(it, hashes[i], n)
 	}
 }
 
 // addNMiss is AddN's insert/decrement tail for a key known to be
-// absent — the batch kernel's miss path, which needs no index probe.
+// absent, with h its index hash (unused on the map path) — the batch
+// kernel's miss path, which needs no index probe.
 //
 //hh:noalloc
-func (f *Frequent[K]) addNMiss(item K, n uint64) {
+func (f *Frequent[K]) addNMiss(item K, h uint64, n uint64) {
 	f.n += n
 	if f.size() < f.m {
-		f.insertN(item, n)
+		f.insertN(item, h, n)
 		return
 	}
 	minCount := f.groups[f.head].sv - f.base
@@ -401,7 +422,7 @@ func (f *Frequent[K]) addNMiss(item K, n uint64) {
 	f.decrements += minCount
 	f.dismantleGroup(f.head) // sv == f.base now
 	if rem := n - minCount; rem > 0 {
-		f.insertN(item, rem)
+		f.insertN(item, h, rem)
 	}
 }
 
@@ -425,15 +446,15 @@ func (f *Frequent[K]) incrementN(nd int32, n uint64) {
 }
 
 // insertN stores a brand-new item with count n (stored value base+n),
-// scanning from the head.
+// scanning from the head; h is its index hash.
 //
 //hh:noalloc
-func (f *Frequent[K]) insertN(item K, n uint64) {
+func (f *Frequent[K]) insertN(item K, h uint64, n uint64) {
 	if f.clone != nil {
 		item = f.clone(item) //hh:allocok borrowed-key inserts copy the key by contract
 	}
-	nd := f.allocNode(item)
-	f.nodes[nd].item = f.store(item, nd)
+	nd := f.allocNode(item, h)
+	f.nodes[nd].item = f.store(item, h, nd)
 	sv := f.base + n
 	t := f.head
 	for t != nilIdx && f.groups[t].sv < sv {
@@ -467,15 +488,16 @@ func (f *Frequent[K]) increment(nd int32) {
 	}
 }
 
-// insert stores a brand-new item with count 1 (stored value base+1).
+// insert stores a brand-new item with count 1 (stored value base+1);
+// h is its index hash.
 //
 //hh:noalloc
-func (f *Frequent[K]) insert(item K) {
+func (f *Frequent[K]) insert(item K, h uint64) {
 	if f.clone != nil {
 		item = f.clone(item) //hh:allocok borrowed-key inserts copy the key by contract
 	}
-	nd := f.allocNode(item)
-	f.nodes[nd].item = f.store(item, nd)
+	nd := f.allocNode(item, h)
+	f.nodes[nd].item = f.store(item, h, nd)
 	target := f.head
 	if target == nilIdx || f.groups[target].sv != f.base+1 {
 		target = f.insertGroupBefore(f.head, f.base+1)
@@ -502,7 +524,7 @@ func (f *Frequent[K]) decrementAll() {
 func (f *Frequent[K]) dismantleGroup(g int32) {
 	for nd := f.groups[g].head; nd != nilIdx; {
 		next := f.nodes[nd].next
-		f.unstore(f.nodes[nd].item)
+		f.unstore(f.nodes[nd].item, f.nodes[nd].hash, nd)
 		f.freeNodeIdx(nd)
 		nd = next
 	}

@@ -3,6 +3,7 @@ package persist
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -445,4 +446,196 @@ func TestAppendRejectsBadNames(t *testing.T) {
 	if seq.Load() != 0 {
 		t.Errorf("rejected appends advanced seq to %d", seq.Load())
 	}
+}
+
+// tornBootDir builds the data directory a crash leaves behind: boot 1
+// appends three batches and closes, then half of a fourth record frame
+// reaches wal-1 before the process dies.
+func tornBootDir(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	s, err := Open(Options{Dir: dir, Fsync: FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seq Seq
+	for i := 0; i < 3; i++ {
+		if err := s.AppendBatch("s", &seq, []string{"a", "bb"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec := EncodeRecord(nil, KindBatch, 4, "s", []byte("\x01a\x02bb"))
+	f, err := os.OpenFile(filepath.Join(dir, WALDirName, segmentName(1)), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(rec[:len(rec)/2]); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// boot opens dir as a recovering process does and replays its WAL,
+// returning the open store, the replayed records and the report.
+func boot(t *testing.T, dir string) (*Store, []gotRecord, ReplayReport) {
+	t.Helper()
+	s, err := Open(Options{Dir: dir, Fsync: FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []gotRecord
+	rep, err := s.ReplayWAL(func(rec Record) error {
+		got = append(got, gotRecord{rec.Kind, rec.Seq, string(rec.Name), string(rec.Body)})
+		return nil
+	})
+	if err != nil {
+		s.Close()
+		t.Fatalf("replay: %v", err)
+	}
+	return s, got, rep
+}
+
+func walSegments(t *testing.T, dir string) []uint64 {
+	t.Helper()
+	segs, err := listSegments(filepath.Join(dir, WALDirName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var idx []uint64
+	for _, sg := range segs {
+		idx = append(idx, sg.index)
+	}
+	return idx
+}
+
+// TestTornTailSealedAcrossBoots pins the segment invariant across
+// boots: a torn tail is cut before the next segment exists, so a
+// second crash before any snapshot still leaves a bootable directory.
+func TestTornTailSealedAcrossBoots(t *testing.T) {
+	t.Run("reboot after a torn boot", func(t *testing.T) {
+		dir := tornBootDir(t)
+		s, got, rep := boot(t, dir)
+		if !rep.Torn || rep.TornSegment != segmentName(1) || len(got) != 3 {
+			t.Fatalf("boot 2: %d records, report %+v; want 3 and a torn wal-1", len(got), rep)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		cut := rep.TornOffset
+		s, got, rep = boot(t, dir)
+		defer s.Close()
+		if rep.Torn || len(got) != 3 {
+			t.Fatalf("boot 3: %d records, report %+v; want 3, clean", len(got), rep)
+		}
+		st, err := os.Stat(filepath.Join(dir, WALDirName, segmentName(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Size() != cut {
+			t.Fatalf("wal-1 is %d bytes, want it cut to the torn offset %d", st.Size(), cut)
+		}
+	})
+	t.Run("torn boot appends before dying", func(t *testing.T) {
+		dir := tornBootDir(t)
+		s, got, _ := boot(t, dir)
+		var seq Seq
+		seq.Store(got[len(got)-1].Seq)
+		for i := 0; i < 2; i++ {
+			if err := s.AppendBatch("s", &seq, []string{"c"}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// FsyncAlways: the records are on disk, so dropping the store
+		// without Close is the crash (the deferred Close only releases
+		// its file).
+		defer s.Close()
+		s, got, rep := boot(t, dir)
+		defer s.Close()
+		if rep.Torn || len(got) != 5 || got[4].Seq != 5 {
+			t.Fatalf("boot 3: %d records, report %+v; want seqs 1..5, clean", len(got), rep)
+		}
+	})
+	t.Run("torn boot dies mid-replay", func(t *testing.T) {
+		dir := tornBootDir(t)
+		s, err := Open(Options{Dir: dir, Fsync: FsyncAlways})
+		if err != nil {
+			t.Fatal(err)
+		}
+		died := errors.New("killed")
+		if _, err := s.ReplayWAL(func(Record) error { return died }); !errors.Is(err, died) {
+			t.Fatalf("replay error = %v, want the callback's", err)
+		}
+		if err := s.AppendBatch("s", &Seq{}, []string{"x"}); err == nil {
+			t.Fatal("append before a finished replay succeeded")
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if segs := walSegments(t, dir); len(segs) != 1 {
+			t.Fatalf("segments after the failed boot = %v, want only wal-1", segs)
+		}
+		s, got, rep := boot(t, dir)
+		defer s.Close()
+		if !rep.Torn || len(got) != 3 {
+			t.Fatalf("boot 3: %d records, report %+v; want 3 and the torn tail", len(got), rep)
+		}
+	})
+	t.Run("segment torn inside its header", func(t *testing.T) {
+		dir := tornBootDir(t)
+		s, _, _ := boot(t, dir) // cuts wal-1's tail
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// A crash right after creating wal-2 left 3 of its 8 header bytes.
+		if err := os.WriteFile(filepath.Join(dir, WALDirName, segmentName(2)), []byte(segMagic[:3]), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, got, rep := boot(t, dir)
+		if !rep.Torn || rep.TornSegment != segmentName(2) || rep.TornOffset != 0 || len(got) != 3 {
+			t.Fatalf("boot: %d records, report %+v; want 3 and wal-2 torn at 0", len(got), rep)
+		}
+		var seq Seq
+		seq.Store(3)
+		if err := s.AppendBatch("s", &seq, []string{"d"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if segs := walSegments(t, dir); len(segs) != 2 || segs[0] != 1 || segs[1] != 3 {
+			t.Fatalf("segments = %v, want [1 3]: the torn wal-2 removed", segs)
+		}
+		s, got, rep = boot(t, dir)
+		defer s.Close()
+		if rep.Torn || len(got) != 4 {
+			t.Fatalf("next boot: %d records, report %+v; want 4, clean", len(got), rep)
+		}
+	})
+	t.Run("rotated segment corruption still fails", func(t *testing.T) {
+		dir := tornBootDir(t)
+		rec := EncodeRecord(nil, KindBatch, 9, "s", []byte("\x01z"))
+		if err := os.WriteFile(filepath.Join(dir, WALDirName, segmentName(2)), buildSegment(rec), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(Options{Dir: dir, Fsync: FsyncAlways})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if _, err := s.ReplayWAL(nil); err == nil {
+			t.Fatal("a torn record in a non-final segment replayed without error")
+		}
+		if _, err := s.BeginSnapshot(); err == nil {
+			t.Fatal("snapshot boundary opened over a corrupt WAL")
+		}
+		if segs := walSegments(t, dir); len(segs) != 2 {
+			t.Fatalf("segments = %v, want the two original ones", segs)
+		}
+	})
 }

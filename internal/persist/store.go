@@ -54,7 +54,7 @@ type Store struct {
 	opts      Options
 	wal       *walWriter
 	walDir    string
-	firstSeg  uint64 // the boot-time writer segment: replay covers [0, firstSeg)
+	firstSeg  uint64 // the boot segment's index: replay covers [0, firstSeg)
 	stop      chan struct{}
 	done      chan struct{}
 	closeOnce sync.Once
@@ -65,10 +65,12 @@ type Store struct {
 	epoch  uint64 //hh:guardedby snapMu
 }
 
-// Open opens (creating if needed) the data directory and starts a
-// fresh WAL segment. It does not read the snapshot or replay the log —
-// recovery order (LoadSnapshot, then ReplayWAL, then serving) is the
-// caller's, per docs/DURABILITY.md §5.
+// Open opens (creating if needed) the data directory and prepares the
+// WAL writer; the first append creates the process's fresh segment. It
+// does not read the snapshot or replay the log — recovery order
+// (LoadSnapshot, then ReplayWAL, then serving) is the caller's, per
+// docs/DURABILITY.md §5. When the WAL already holds segments, appends
+// and BeginSnapshot fail until ReplayWAL has sealed its tail.
 func Open(opts Options) (*Store, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("persist: Options.Dir is required")
@@ -180,10 +182,19 @@ func (s *Store) BeginSnapshot() (uint64, error) {
 
 // ReplayWAL delivers every valid record in segments below the writer's
 // boot segment to fn, in order. See ScanWAL for the torn-tail
-// contract. Safe to call repeatedly — replay is read-only, and the
-// consumer's sequence dedup makes re-delivery a no-op.
+// contract. A successful first replay then seals the tail: a torn final
+// record is truncated away (a segment torn inside its header is
+// removed) before the process's own segment exists, so a later boot
+// never finds the tear in a non-final segment. The replay's own scan
+// locates the tear, so the log is read once per boot. Safe to call
+// repeatedly — later calls only read, and the consumer's sequence
+// dedup makes re-delivery a no-op.
 func (s *Store) ReplayWAL(fn func(Record) error) (ReplayReport, error) {
-	return ScanWAL(s.walDir, s.firstSeg, s.opts.MaxRecordBytes, fn)
+	rep, err := ScanWAL(s.walDir, s.firstSeg, s.opts.MaxRecordBytes, fn)
+	if err != nil {
+		return rep, err
+	}
+	return rep, s.wal.sealTail(rep)
 }
 
 // Close stops the fsync loop and flushes, syncs and closes the WAL.

@@ -3,6 +3,7 @@ package persist
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -131,14 +132,17 @@ func ParseRecordPayload(payload []byte) (Record, error) {
 // walWriter is the single append point of a Store's WAL. A fresh
 // segment is opened per process lifetime (the writer never appends to
 // a pre-existing file), so replay order is segment index, then file
-// offset.
+// offset. The process's segment is created by its first append, once
+// sealTail has made the segments before it complete.
 type walWriter struct {
 	dir        string
 	segBytes   int64
 	maxRecord  int
 	alwaysSync bool
 
-	mu         sync.Mutex
+	mu sync.Mutex
+	// f is the open segment: nil before the first append of the process
+	// and after close.
 	f          *os.File      //hh:guardedby mu
 	bw         *bufio.Writer //hh:guardedby mu
 	seg        uint64        //hh:guardedby mu
@@ -146,6 +150,10 @@ type walWriter struct {
 	scratch    []byte        //hh:guardedby mu
 	dirty      bool          //hh:guardedby mu
 	err        error         //hh:guardedby mu
+	// sealed reports that the segments before seg are complete on disk,
+	// so seg may be created: true from the start on an empty directory,
+	// otherwise set by sealTail.
+	sealed bool //hh:guardedby mu
 }
 
 func segmentName(index uint64) string {
@@ -189,8 +197,8 @@ func listSegments(dir string) ([]segmentFile, error) {
 	return segs, nil
 }
 
-// openWAL scans dir for existing segments and opens a fresh one after
-// the highest index found.
+// openWAL scans dir for existing segments and prepares a writer whose
+// first append creates a fresh segment after the highest index found.
 func openWAL(dir string, segBytes int64, maxRecord int, alwaysSync bool) (*walWriter, error) {
 	segs, err := listSegments(dir)
 	if err != nil {
@@ -200,17 +208,66 @@ func openWAL(dir string, segBytes int64, maxRecord int, alwaysSync bool) (*walWr
 	if len(segs) > 0 {
 		next = segs[len(segs)-1].index + 1
 	}
-	w := &walWriter{
+	return &walWriter{
 		dir:        dir,
 		segBytes:   segBytes,
 		maxRecord:  maxRecord,
 		alwaysSync: alwaysSync,
 		seg:        next,
+		sealed:     len(segs) == 0,
+	}, nil
+}
+
+// errUnsealed rejects appends and snapshot boundaries before replay has
+// sealed the newest existing segment.
+var errUnsealed = errors.New("persist: WAL not replayed: its tail is unsealed")
+
+// sealTail makes the newest pre-boot segment complete on disk, given
+// the report of a replay that scanned it: a torn tail is truncated away
+// and fsynced, and a segment torn inside its header is removed and the
+// directory fsynced. A successor must not exist before this — the next
+// boot would find the tear in a non-final segment and refuse the
+// directory as corrupt — so until it runs appends fail and no segment
+// is created, and a crash meanwhile leaves the torn segment final,
+// which the next replay tolerates. Later calls are no-ops: the tail was
+// cut the first time, and the process's own segment may exist by then.
+func (w *walWriter) sealTail(rep ReplayReport) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.sealed {
+		return nil
 	}
-	if err := w.createSegmentLocked(); err != nil {
-		return nil, err
+	if rep.Torn {
+		path := filepath.Join(w.dir, rep.TornSegment)
+		if rep.TornOffset == 0 {
+			if err := os.Remove(path); err != nil {
+				return err
+			}
+			if err := syncDir(w.dir); err != nil {
+				return err
+			}
+		} else if err := truncateSync(path, rep.TornOffset); err != nil {
+			return err
+		}
 	}
-	return w, nil
+	w.sealed = true
+	return nil
+}
+
+// truncateSync cuts the file at path to size bytes and fsyncs it.
+func truncateSync(path string, size int64) error {
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		return err
+	}
+	err = f.Truncate(size)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // createSegmentLocked opens segment w.seg and writes its header. The
@@ -261,7 +318,13 @@ func (w *walWriter) append(kind byte, seq *Seq, name string, keys []string, body
 		return w.err
 	}
 	if w.f == nil {
-		return fmt.Errorf("persist: WAL is closed")
+		if !w.sealed {
+			return errUnsealed
+		}
+		if err := w.createSegmentLocked(); err != nil {
+			w.err = err
+			return err
+		}
 	}
 	var s uint64
 	if seq != nil {
@@ -350,7 +413,8 @@ func (w *walWriter) rotateLocked() error {
 
 // rotate forces a segment boundary and returns the new current
 // segment's index: every record appended before the call lives in a
-// segment with a strictly smaller index.
+// segment with a strictly smaller index. Before the process's first
+// append, the boundary is the segment that append will create.
 func (w *walWriter) rotate() (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -358,7 +422,10 @@ func (w *walWriter) rotate() (uint64, error) {
 		return 0, w.err
 	}
 	if w.f == nil {
-		return 0, fmt.Errorf("persist: WAL is closed")
+		if !w.sealed {
+			return 0, errUnsealed
+		}
+		return w.seg, nil
 	}
 	if err := w.rotateLocked(); err != nil {
 		w.err = err
@@ -416,6 +483,10 @@ func (w *walWriter) close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.f == nil {
+		if w.err == nil {
+			w.err = fmt.Errorf("persist: WAL is closed")
+			return nil
+		}
 		return w.err
 	}
 	err := w.syncLocked()

@@ -120,7 +120,7 @@ func (r *Registry) openDurability(spec hh.DurabilitySpec, maxBody int64) error {
 			if err := json.Unmarshal(ms.Spec, &sp); err != nil {
 				return fmt.Errorf("manifest spec for %q: %w", ms.Name, err)
 			}
-			e, err := r.Create(ms.Name, sp)
+			e, err := r.create(ms.Name, sp, false)
 			if err != nil {
 				return fmt.Errorf("recreating %q: %w", ms.Name, err)
 			}
@@ -158,6 +158,9 @@ func (r *Registry) openDurability(spec hh.DurabilitySpec, maxBody int64) error {
 		e, _ := r.Get(name)
 		if !e.durable {
 			continue
+		}
+		if err := e.logCreate(); err != nil {
+			return err
 		}
 		_, fromSnap := blobs[name]
 		r.recovery.Summaries = append(r.recovery.Summaries, RecoveredSummary{
@@ -197,7 +200,7 @@ func (r *Registry) applyRecord(rec persist.Record) error {
 		if err := json.Unmarshal(rec.Body, &sp); err != nil {
 			return fmt.Errorf("create record for %q: %w", name, err)
 		}
-		if _, err := r.Create(name, sp); err != nil {
+		if _, err := r.create(name, sp, false); err != nil {
 			return fmt.Errorf("replaying creation of %q: %w", name, err)
 		}
 		return nil

@@ -164,6 +164,13 @@ func New(cfg Config) (*Registry, error) {
 // summary gets WithBorrowedKeys so the ingest decoders may alias keys
 // into reused buffers.
 func (r *Registry) Create(name string, spec hh.Spec) (*Entry, error) {
+	return r.create(name, spec, true)
+}
+
+// create is Create with the WAL create record optional: recovery
+// rebuilds summaries before the WAL may be appended to (see
+// persist.Open) and logs their creations once replay is done.
+func (r *Registry) create(name string, spec hh.Spec, logCreate bool) (*Entry, error) {
 	if !nameRE.MatchString(name) {
 		return nil, fmt.Errorf("invalid summary name %q (want 1-128 of [A-Za-z0-9._-], starting alphanumeric)", name)
 	}
@@ -190,17 +197,15 @@ func (r *Registry) Create(name string, spec hh.Spec) (*Entry, error) {
 		e.durable = true
 		e.store = r.store
 		// Every durable creation is WAL-logged before the entry is
-		// visible — uniformly, on recovery boots too. Replay treats a
-		// create for an existing name as a no-op, so the duplicates
-		// this writes are harmless, and a summary PUT at runtime is
-		// re-creatable from the log alone even before its first
-		// snapshot.
-		specJSON, err := json.Marshal(spec)
-		if err != nil {
-			return nil, err
-		}
-		if err := r.store.AppendCreate(name, specJSON); err != nil {
-			return nil, fmt.Errorf("logging creation of %q: %w", name, err)
+		// visible — on recovery boots too, where openDurability logs
+		// them after replay, before serving. Replay treats a create for
+		// an existing name as a no-op, so the duplicates this writes are
+		// harmless, and a summary PUT at runtime is re-creatable from
+		// the log alone even before its first snapshot.
+		if logCreate {
+			if err := e.logCreate(); err != nil {
+				return nil, err
+			}
 		}
 	}
 	r.mu.Lock()
@@ -210,6 +215,18 @@ func (r *Registry) Create(name string, spec hh.Spec) (*Entry, error) {
 	}
 	r.entries[name] = e
 	return e, nil
+}
+
+// logCreate appends the entry's create record to the WAL.
+func (e *Entry) logCreate() error {
+	specJSON, err := json.Marshal(e.spec)
+	if err != nil {
+		return err
+	}
+	if err := e.store.AppendCreate(e.name, specJSON); err != nil {
+		return fmt.Errorf("logging creation of %q: %w", e.name, err)
+	}
+	return nil
 }
 
 // hardenSpec applies the registry's serving hardening to a stanza:

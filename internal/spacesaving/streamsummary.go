@@ -46,6 +46,12 @@ type ssNode[K comparable] struct {
 	err        uint64
 	grp        int32
 	prev, next int32
+	// hash is the low 32 bits of item's index hash on the arena path
+	// (zero on the map path): eviction deletes the victim's index entry
+	// by (hash, node index) without rehashing or re-reading its cold key
+	// bytes. It fills padding the struct already had, so ssNode[string]
+	// stays 40 bytes and ssNode[uint64] 32.
+	hash uint32
 }
 
 // StreamSummary is the O(1) bucket-list SPACESAVING implementation,
@@ -81,9 +87,11 @@ type StreamSummary[K comparable] struct {
 	// callers may pass keys aliasing reused memory (SetKeyClone).
 	clone func(K) K
 	// probe is the hit-hint scratch of AddNBatch (one node index per
-	// batch key), reused across batches so steady-state batch ingest
-	// allocates nothing.
-	probe []int32
+	// batch key), and hashes the index hash of each key when the caller
+	// passes none; both are reused across batches so steady-state batch
+	// ingest allocates nothing.
+	probe  []int32
+	hashes []uint64
 }
 
 // SetKeyClone installs fn as the borrowed-key clone hook: every key the
@@ -139,28 +147,34 @@ func (s *StreamSummary[K]) lookup(item K) (int32, bool) {
 		nd, ok := s.fast[item]
 		return nd, ok
 	}
-	return s.items.Get(item)
+	nd, _, ok := s.items.Get(item)
+	return nd, ok
 }
 
 // store retains item → nd and returns the retained key (a slab view on
-// the arena path; item itself otherwise).
+// the arena path; item itself otherwise). h is item's index hash, from
+// the lookup that missed (allocNode already kept its low 32 bits in
+// the node for unstore).
 //
 //hh:noalloc
-func (s *StreamSummary[K]) store(item K, nd int32) K {
+func (s *StreamSummary[K]) store(item K, h uint64, nd int32) K {
 	if s.fast != nil {
 		s.fast[item] = nd
 		return item
 	}
-	return s.items.Put(item, nd)
+	return s.items.Put(item, h, nd)
 }
 
+// unstore drops node nd's key, whose hash fragment is h32, from the
+// index.
+//
 //hh:noalloc
-func (s *StreamSummary[K]) unstore(item K) {
+func (s *StreamSummary[K]) unstore(item K, h32 uint32, nd int32) {
 	if s.fast != nil {
 		delete(s.fast, item)
 		return
 	}
-	s.items.Delete(item)
+	s.items.Delete(item, h32, nd)
 }
 
 //hh:noalloc
@@ -213,10 +227,10 @@ func (s *StreamSummary[K]) initFreeLists() {
 }
 
 //hh:noalloc
-func (s *StreamSummary[K]) allocNode(item K, err uint64) int32 {
+func (s *StreamSummary[K]) allocNode(item K, err uint64, h uint64) int32 {
 	i := s.freeNode
 	s.freeNode = s.nodes[i].next
-	s.nodes[i] = ssNode[K]{item: item, err: err, grp: nilIdx, prev: nilIdx, next: nilIdx}
+	s.nodes[i] = ssNode[K]{item: item, err: err, grp: nilIdx, prev: nilIdx, next: nilIdx, hash: uint32(h)}
 	return i
 }
 
@@ -253,11 +267,12 @@ func (s *StreamSummary[K]) freeGroupIdx(i int32) {
 func (s *StreamSummary[K]) Update(item K) {
 	s.n++
 	var nd int32
+	var h uint64
 	var ok bool
 	if s.fast != nil {
 		nd, ok = s.fast[item]
 	} else {
-		nd, ok = s.items.Get(item)
+		nd, h, ok = s.items.Get(item)
 	}
 	if ok {
 		s.bump(nd, s.groups[s.nodes[nd].grp].count+1)
@@ -267,8 +282,8 @@ func (s *StreamSummary[K]) Update(item K) {
 		item = s.clone(item) //hh:allocok borrowed-key inserts copy the key by contract
 	}
 	if s.size() < s.m {
-		fresh := s.allocNode(item, 0)
-		s.nodes[fresh].item = s.store(item, fresh)
+		fresh := s.allocNode(item, 0, h)
+		s.nodes[fresh].item = s.store(item, h, fresh)
 		target := s.head
 		if target == nilIdx || s.groups[target].count != 1 {
 			target = s.insertGroupBefore(s.head, 1)
@@ -281,11 +296,11 @@ func (s *StreamSummary[K]) Update(item K) {
 	minG := s.head
 	minCount := s.groups[minG].count
 	victim := s.groups[minG].head
-	s.unstore(s.nodes[victim].item)
+	s.unstore(s.nodes[victim].item, s.nodes[victim].hash, victim)
 	s.unlinkNode(victim)
 	s.freeNodeIdx(victim)
-	nd = s.allocNode(item, minCount)
-	s.nodes[nd].item = s.store(item, nd)
+	nd = s.allocNode(item, minCount, h)
+	s.nodes[nd].item = s.store(item, h, nd)
 	// minG may have been removed if the victim was its only member; the
 	// newcomer belongs to the bucket with count minCount+1 which, if it
 	// must be created, sits exactly where minG was (or after it).
@@ -307,11 +322,12 @@ func (s *StreamSummary[K]) AddN(item K, n uint64) {
 	}
 	s.n += n
 	var nd int32
+	var h uint64
 	var ok bool
 	if s.fast != nil {
 		nd, ok = s.fast[item]
 	} else {
-		nd, ok = s.items.Get(item)
+		nd, h, ok = s.items.Get(item)
 	}
 	if ok {
 		s.bumpN(nd, s.groups[s.nodes[nd].grp].count+n)
@@ -321,19 +337,19 @@ func (s *StreamSummary[K]) AddN(item K, n uint64) {
 		item = s.clone(item) //hh:allocok borrowed-key inserts copy the key by contract
 	}
 	if s.size() < s.m {
-		fresh := s.allocNode(item, 0)
-		s.nodes[fresh].item = s.store(item, fresh)
+		fresh := s.allocNode(item, 0, h)
+		s.nodes[fresh].item = s.store(item, h, fresh)
 		s.placeWithCount(fresh, n)
 		return
 	}
 	minG := s.head
 	minCount := s.groups[minG].count
 	victim := s.groups[minG].head
-	s.unstore(s.nodes[victim].item)
+	s.unstore(s.nodes[victim].item, s.nodes[victim].hash, victim)
 	s.unlinkNode(victim)
 	s.freeNodeIdx(victim)
-	nd = s.allocNode(item, minCount)
-	s.nodes[nd].item = s.store(item, nd)
+	nd = s.allocNode(item, minCount, h)
+	s.nodes[nd].item = s.store(item, h, nd)
 	s.placeWithCount(nd, minCount+n)
 }
 
@@ -343,7 +359,8 @@ func (s *StreamSummary[K]) AddN(item K, n uint64) {
 // guarantees it); a nil counts means every key occurs once. hashes,
 // when non-nil on an arena-backed structure, must carry each key's
 // keyHasher hash with the structure's seed (the partition hash) and is
-// used to probe the index without rehashing.
+// used to probe and insert without rehashing; when nil, the probe pass
+// hashes each key once.
 //
 // On the arena index the kernel is two-pass: the first pass only
 // probes the key index, recording each key's node as a hit hint — a
@@ -374,7 +391,7 @@ func (s *StreamSummary[K]) AddNBatch(items []K, counts []uint32, hashes []uint64
 				s.bumpN(nd, s.groups[s.nodes[nd].grp].count+n)
 				continue
 			}
-			s.addNMiss(it, n)
+			s.addNMiss(it, 0, n)
 		}
 		return
 	}
@@ -388,13 +405,16 @@ func (s *StreamSummary[K]) AddNBatch(items []K, counts []uint32, hashes []uint64
 			s.probe = append(s.probe, nd)
 		}
 	} else {
+		s.hashes = s.hashes[:0]
 		for _, it := range items {
-			nd, ok := s.items.Get(it)
+			nd, h, ok := s.items.Get(it)
 			if !ok {
 				nd = nilIdx
 			}
 			s.probe = append(s.probe, nd)
+			s.hashes = append(s.hashes, h)
 		}
+		hashes = s.hashes
 	}
 	for i, it := range items {
 		n := uint64(1)
@@ -409,35 +429,36 @@ func (s *StreamSummary[K]) AddNBatch(items []K, counts []uint32, hashes []uint64
 			s.bumpN(nd, s.groups[s.nodes[nd].grp].count+n)
 			continue
 		}
-		s.addNMiss(it, n)
+		s.addNMiss(it, hashes[i], n)
 	}
 }
 
-// addNMiss is AddN's insert/evict tail for a key known to be absent —
-// the batch kernel's miss path, which needs no index probe (a miss
-// verdict cannot go stale inside a batch of distinct keys: no later
-// group re-inserts the key).
+// addNMiss is AddN's insert/evict tail for a key known to be absent,
+// with h its index hash (unused on the map path) — the batch kernel's
+// miss path, which needs no index probe (a miss verdict cannot go
+// stale inside a batch of distinct keys: no later group re-inserts the
+// key).
 //
 //hh:noalloc
-func (s *StreamSummary[K]) addNMiss(item K, n uint64) {
+func (s *StreamSummary[K]) addNMiss(item K, h uint64, n uint64) {
 	s.n += n
 	if s.clone != nil {
 		item = s.clone(item) //hh:allocok borrowed-key inserts copy the key by contract
 	}
 	if s.size() < s.m {
-		fresh := s.allocNode(item, 0)
-		s.nodes[fresh].item = s.store(item, fresh)
+		fresh := s.allocNode(item, 0, h)
+		s.nodes[fresh].item = s.store(item, h, fresh)
 		s.placeWithCount(fresh, n)
 		return
 	}
 	minG := s.head
 	minCount := s.groups[minG].count
 	victim := s.groups[minG].head
-	s.unstore(s.nodes[victim].item)
+	s.unstore(s.nodes[victim].item, s.nodes[victim].hash, victim)
 	s.unlinkNode(victim)
 	s.freeNodeIdx(victim)
-	nd := s.allocNode(item, minCount)
-	s.nodes[nd].item = s.store(item, nd)
+	nd := s.allocNode(item, minCount, h)
+	s.nodes[nd].item = s.store(item, h, nd)
 	s.placeWithCount(nd, minCount+n)
 }
 
