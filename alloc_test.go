@@ -8,6 +8,8 @@ package heavyhitters_test
 // suite, but testing.AllocsPerRun catches it at -short test speed.
 
 import (
+	"fmt"
+	"strconv"
 	"testing"
 
 	hh "repro"
@@ -244,5 +246,31 @@ func TestCoalescedIngestZeroAllocs(t *testing.T) {
 				func() { sum.UpdateBatch(tc.batch) },
 				func() { sum.UpdateBatch(tc.batch) })
 		}
+	}
+}
+
+// TestUpdateCountsZeroAllocs pins the counted-batch entry on the
+// registry's serving compositions (string keys, WithConcurrent,
+// WithArena, WithBorrowedKeys): the sharded tier's grouped partition
+// pass and the unsharded wrapper's pooled grouping scratch must both
+// run out of reused memory at steady state — on bodies that repeat
+// keys and on already-distinct ones.
+func TestUpdateCountsZeroAllocs(t *testing.T) {
+	s := allocStream()
+	keys := make([]string, 1024)
+	counts := make([]uint32, len(keys))
+	for i := range keys {
+		keys[i] = strconv.FormatUint(s[i]%300, 10) // repeats inside the body
+		counts[i] = uint32(1 + i%5)
+	}
+	for _, shards := range []int{0, 8} {
+		opts := []hh.Option{hh.WithCapacity(256), hh.WithConcurrent(), hh.WithArena(), hh.WithBorrowedKeys()}
+		if shards > 0 {
+			opts = append(opts, hh.WithShards(shards))
+		}
+		sum := hh.New[string](opts...)
+		assertZeroAllocs(t, fmt.Sprintf("shards=%d", shards),
+			func() { sum.UpdateCounts(keys, counts) },
+			func() { sum.UpdateCounts(keys, counts) })
 	}
 }

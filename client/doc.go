@@ -18,7 +18,18 @@
 // datagram (DialWireUDP) where losing batches beats backpressure.
 // Push buffers and auto-frames keys, PushBatch sends a batch as one
 // frame, and Flush — TCP only — is an acknowledged sync barrier:
-// when it returns, everything pushed before it is ingested. Writes
+// when it returns, everything pushed before it is ingested. A frame
+// that repeats keys goes out as a counted frame, each distinct key
+// once with its count, which the server parses, logs and applies per
+// distinct key; it needs a server that speaks counted frames, so
+// upgrade servers before clients. Folding sends the frame in grouped
+// order: each key's later occurrences move up to its first one (a b c
+// a arrives as a a b c). N, every key's count and every bound are
+// unchanged, but decayed summaries weight the moved occurrences by
+// their new positions — within a factor e^(±λ(F−1)) per key for a
+// frame of F occurrences — and unsharded count windows may count them
+// in a neighbouring epoch; keep λ·F small for short decay horizons
+// (docs/WIRE.md, "Client folding"). Writes
 // that fail redial once, so a server restart costs at most the
 // unacknowledged window, never a surfaced error for a transient blip.
 //

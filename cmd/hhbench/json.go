@@ -130,6 +130,13 @@ func runJSON(path string, n uint64, universe int, seed uint64, m int, smoke bool
 		fmt.Fprintf(os.Stderr, "%-45s %8.2f M items/s  %6.1f ns/op  %.3f allocs/op\n",
 			rec.Name, rec.ItemsPerSec/1e6, rec.NsPerOp, rec.AllocsPerOp)
 	}
+	// The same two shapes pushed over hhwire TCP into the registry, each
+	// with folding WireConn frames and a raw-v1 twin (serverwire.go).
+	for _, rec := range measureServedWire(burstKeys, hexKeys, m) {
+		report.Add(rec)
+		fmt.Fprintf(os.Stderr, "%-45s %8.2f M items/s  %6.1f ns/op  %.3f allocs/op\n",
+			rec.Name, rec.ItemsPerSec/1e6, rec.NsPerOp, rec.AllocsPerOp)
+	}
 	// Contended-ingest rows: the concurrency tier under 1/4/8 writer
 	// goroutines, a mixed reader+writer run, and the per-item Update
 	// path.

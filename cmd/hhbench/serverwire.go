@@ -18,6 +18,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"runtime"
@@ -212,5 +213,142 @@ func timeWirePush(addr string, l *wire.Listener, keys []string, udp bool) benchj
 		ItemsPerSec: n / elapsed.Seconds(),
 		AllocsPerOp: float64(afterMem.Mallocs-beforeMem.Mallocs) / (n * float64(measured)),
 		BytesPerOp:  float64(afterMem.TotalAlloc-beforeMem.TotalAlloc) / (n * float64(measured)),
+	}
+}
+
+// measureServedWire times hhwire TCP ingest into the registry's serving
+// composition on the two shapes counted frames (docs/WIRE.md, "Counted frames") were
+// built for and against: burst frames (90% in-frame repeats) into
+// m-counter 8-shard SPACESAVING, and all-distinct hex keys into
+// m=65536 unsharded. Each shape gets two rows: "folded" pushes through
+// client.WireConn, which folds each frame's repeats into a counted
+// body, and its "v1" twin writes plain wire.AppendFrame frames over a
+// raw connection — so one binary shows the A/B with client and server
+// sharing the process. The all-distinct rows carry the servedwire/
+// prefix: eviction-bound at m=65536, they cannot meet the serverwire/
+// items/s floor by design.
+func measureServedWire(burst, hex []string, m int) []benchjson.Record {
+	var recs []benchjson.Record
+	for _, w := range []struct {
+		prefix, workload string
+		spec             hh.Spec
+		keys             []string
+	}{
+		{"serverwire", "burst-1.3-dup0.9", hh.Spec{Capacity: m, Shards: 8}, burst},
+		{"servedwire", "all-distinct-hex", hh.Spec{Capacity: servedDistinctM}, hex},
+	} {
+		for _, folded := range []bool{true, false} {
+			rec := timeServedWire(w.spec, w.keys, folded)
+			variant := "v1"
+			if folded {
+				variant = "folded"
+			}
+			rec.Name = fmt.Sprintf("%s/tcp/%v/%s/%s/%s", w.prefix, hh.AlgoSpaceSaving, w.workload, shardingName(w.spec.Shards, 0), variant)
+			rec.Algo = hh.AlgoSpaceSaving.String()
+			rec.Workload = w.workload
+			rec.Shards = w.spec.Shards
+			recs = append(recs, rec)
+		}
+	}
+	return recs
+}
+
+// timeServedWire boots a fresh registry and TCP wire listener for spec,
+// then times full-stream pushes of keys in jsonBatch-key frames, each
+// pass closed by an acknowledged barrier: one warming pass, then
+// contendedPasses timed ones, keeping the fastest.
+func timeServedWire(spec hh.Spec, keys []string, folded bool) benchjson.Record {
+	fail := func(err error) {
+		fmt.Fprintf(os.Stderr, "hhbench: served wire rows: %v\n", err)
+		os.Exit(1)
+	}
+	reg, err := registry.New(registry.Config{Summaries: map[string]hh.Spec{"bench": spec}})
+	if err != nil {
+		fail(err)
+	}
+	l := wire.NewListener(reg, 0)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		fail(err)
+	}
+	go l.ServeTCP(ln)
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		l.Shutdown(ctx)
+	}()
+
+	var pass func() error
+	if folded {
+		c, err := client.DialWire(ln.Addr().String(), "bench")
+		if err != nil {
+			fail(err)
+		}
+		defer c.Close()
+		pass = func() error {
+			for lo := 0; lo < len(keys); lo += jsonBatch {
+				if err := c.PushBatch(keys[lo:min(lo+jsonBatch, len(keys))]); err != nil {
+					return err
+				}
+			}
+			return c.Flush()
+		}
+	} else {
+		// The v1 twin: what a WireConn that never folds writes, built
+		// per frame inside the timed region like the folded row's.
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			fail(err)
+		}
+		defer conn.Close()
+		var body, frame []byte
+		ack := make([]byte, wire.AckLen)
+		pass = func() error {
+			for lo := 0; lo < len(keys); lo += jsonBatch {
+				body = body[:0]
+				for _, k := range keys[lo:min(lo+jsonBatch, len(keys))] {
+					body = registry.AppendBinaryRecord(body, k)
+				}
+				frame = wire.AppendFrame(frame[:0], "bench", 0, body)
+				if _, err := conn.Write(frame); err != nil {
+					return err
+				}
+			}
+			if _, err := conn.Write(wire.AppendFrame(frame[:0], "bench", wire.FlagAck, nil)); err != nil {
+				return err
+			}
+			if _, err := io.ReadFull(conn, ack); err != nil {
+				return err
+			}
+			_, err := wire.ParseAck(ack)
+			return err
+		}
+	}
+
+	if err := pass(); err != nil { // warm: fill counters, grow both sides' scratch
+		fail(err)
+	}
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var elapsed time.Duration
+	for i := 0; i < contendedPasses; i++ {
+		start := time.Now()
+		if err := pass(); err != nil {
+			fail(err)
+		}
+		if d := time.Since(start); i == 0 || d < elapsed {
+			elapsed = d
+		}
+	}
+	runtime.ReadMemStats(&after)
+	n := float64(len(keys))
+	return benchjson.Record{
+		Batch:       jsonBatch,
+		Items:       uint64(len(keys)),
+		NsPerOp:     float64(elapsed.Nanoseconds()) / n,
+		ItemsPerSec: n / elapsed.Seconds(),
+		AllocsPerOp: float64(after.Mallocs-before.Mallocs) / (n * contendedPasses),
+		BytesPerOp:  float64(after.TotalAlloc-before.TotalAlloc) / (n * contendedPasses),
 	}
 }

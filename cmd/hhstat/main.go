@@ -43,6 +43,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -53,6 +54,7 @@ import (
 	"repro/internal/arena"
 	"repro/internal/exact"
 	"repro/internal/persist"
+	"repro/internal/registry"
 	"repro/internal/stream"
 	"repro/internal/zipfmath"
 )
@@ -114,10 +116,12 @@ func fatalf(format string, args ...any) {
 // walTally accumulates per-kind record counts and per-summary covered
 // sequences across a WAL scan.
 type walTally struct {
-	batches, creates, blobs int
-	items                   int
-	badBodies               int
-	seq                     map[string]uint64
+	batches, counted, creates, blobs int
+	// items counts key occurrences: one per batch-record key, a
+	// counted record's sum of counts.
+	items     int
+	badBodies int
+	seq       map[string]uint64
 }
 
 func (w *walTally) add(rec persist.Record) error {
@@ -127,6 +131,16 @@ func (w *walTally) add(rec persist.Record) error {
 		w.batches++
 		if n := countBatchKeys(rec.Body); n >= 0 {
 			w.items += n
+		} else {
+			w.badBodies++
+		}
+	case persist.KindCounted:
+		w.counted++
+		// The daemon's own parser, without its per-body occurrence
+		// bound (a daemon with a larger max_body_bytes may log more).
+		var b registry.CountedBatch
+		if err := b.Parse(rec.Body, math.MaxInt64); err == nil {
+			w.items += int(b.Items)
 		} else {
 			w.badBodies++
 		}
@@ -157,10 +171,10 @@ func countBatchKeys(body []byte) int {
 }
 
 func (w *walTally) print(tw *tabwriter.Writer) {
-	fmt.Fprintf(tw, "records\t%d batches (%d items), %d creates, %d blobs\n",
-		w.batches, w.items, w.creates, w.blobs)
+	fmt.Fprintf(tw, "records\t%d batches + %d counted (%d items), %d creates, %d blobs\n",
+		w.batches, w.counted, w.items, w.creates, w.blobs)
 	if w.badBodies > 0 {
-		fmt.Fprintf(tw, "CORRUPT batch bodies\t%d\n", w.badBodies)
+		fmt.Fprintf(tw, "CORRUPT batch or counted bodies\t%d\n", w.badBodies)
 	}
 	names := make([]string, 0, len(w.seq))
 	for name := range w.seq {

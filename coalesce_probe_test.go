@@ -12,21 +12,13 @@ import (
 func meanCoalesceProbe[K comparable](t *testing.T, keys []K) float64 {
 	t.Helper()
 	b := New[K](WithShards(8)).(*summary[K]).be.(*shardedBackend[K])
-	sc := b.pool.Get().(*batchScratch[K])
-	b.coalesceInto(sc, keys)
-	mask := uint64(len(sc.tab) - 1)
-	var probes, held uint64
-	for i, e := range sc.tab {
-		if e.gen != sc.gen {
-			continue
-		}
-		probes += (uint64(i)-coalesceHome(e.h, sc.shift, mask))&mask + 1
-		held++
-	}
-	if held != uint64(len(keys)) {
+	sc := b.pool.Get().(*batchScratch[K]).reset()
+	groupInto(sc, b.hash, keys, nil)
+	held, mean := sc.tab.MeanProbe()
+	if held != len(keys) {
 		t.Fatalf("table holds %d groups for %d distinct keys", held, len(keys))
 	}
-	return float64(probes) / float64(held)
+	return mean
 }
 
 // TestCoalesceProbeLength pins the coalescing table's home-slot choice:

@@ -300,7 +300,7 @@ func Decode[K comparable](r io.Reader) (Summary[K], error) {
 		if err != nil {
 			return nil, err
 		}
-		return &summary[K]{algo: algo, be: be}, nil
+		return newSummary(algo, be, keyHasher[K](0), false, true), nil
 	case windowMagicV2:
 		return decodeWindowBody[K](br, wantKind)
 	default:
@@ -432,7 +432,7 @@ func FromBlob[K comparable](m int, blob *SummaryBlob[K]) Summary[K] {
 	// Carry any stream mass the stored counts undercount, so N() matches
 	// the producer's recorded stream length.
 	be.carryExtraMass(float64(blob.N))
-	return &summary[K]{algo: AlgoSpaceSaving, be: be}
+	return newSummary[K](AlgoSpaceSaving, be, keyHasher[K](0), false, true)
 }
 
 //hh:nopanic

@@ -193,5 +193,5 @@ func decodeWindowBody[K comparable](br *bufio.Reader, wantKind byte) (Summary[K]
 		//hh:checked i < epochs == len(b.ring); capacity comes from a decoded epoch, ≥ 1 by decodeFlatBody validation
 		b.ring[i] = &weightedBackend[K]{ssr: spacesaving.NewRSized[K](capacity, 0), g: g, hasG: hasG}
 	}
-	return &summary[K]{algo: algo, be: b}, nil
+	return newSummary[K](algo, b, keyHasher[K](0), false, true), nil
 }

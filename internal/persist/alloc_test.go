@@ -39,3 +39,32 @@ func TestAppendBatchZeroAllocs(t *testing.T) {
 		t.Errorf("AppendBatch: %.4f allocs per run at steady state, want 0", avg)
 	}
 }
+
+// TestAppendCountedZeroAllocs: the counted record copies its body into
+// the same reused scratch, so durable counted ingest adds no
+// allocations either.
+func TestAppendCountedZeroAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("race instrumentation allocates; allocation accounting is meaningless under -race")
+	}
+	s, err := Open(Options{Dir: t.TempDir(), Fsync: FsyncRotate})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var body []byte
+	for i := 0; i < 512; i++ {
+		body = fmt.Appendf(body, "\x08key-%04d\x03", i)
+	}
+	var seq Seq
+	if err := s.AppendCounted("queries", &seq, body); err != nil {
+		t.Fatal(err)
+	}
+	if avg := testing.AllocsPerRun(10, func() {
+		if err := s.AppendCounted("queries", &seq, body); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("AppendCounted: %.4f allocs per run at steady state, want 0", avg)
+	}
+}

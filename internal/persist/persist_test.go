@@ -639,3 +639,35 @@ func TestTornTailSealedAcrossBoots(t *testing.T) {
 		}
 	})
 }
+
+// TestAppendCountedReplay: a counted batch is logged as one kind-4
+// record carrying its body verbatim, takes the next sequence number
+// like a batch record, and replays in order with the others.
+func TestAppendCountedReplay(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Options{Dir: dir, Fsync: FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seq Seq
+	body := []byte("\x01a\x05\x02bb\x01")
+	if err := s.AppendBatch("q", &seq, []string{"a"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AppendCounted("q", &seq, body); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, rep := collect(t, filepath.Join(dir, WALDirName), 0)
+	want := []gotRecord{{KindBatch, 1, "q", "\x01a"}, {KindCounted, 2, "q", string(body)}}
+	if rep.Records != len(want) || rep.Torn {
+		t.Fatalf("report = %+v, want %d clean records", rep, len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("record %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}

@@ -152,6 +152,15 @@ func (s *Store) AppendBatch(name string, seq *Seq, keys []string) error {
 	return s.wal.append(KindBatch, seq, name, keys, nil)
 }
 
+// AppendCounted logs one ingested counted batch for name — the counted
+// body (docs/WIRE.md, "Counted frames"), verbatim — allocating the next sequence
+// number from seq on success. Like AppendBatch it builds the record in
+// the writer's reused scratch, and the same apply-after-append rule
+// holds: an error means the batch must not be applied.
+func (s *Store) AppendCounted(name string, seq *Seq, body []byte) error {
+	return s.wal.append(KindCounted, seq, name, nil, body)
+}
+
 // AppendBlob logs one accepted merge blob for name (the encoded
 // HHSUM2/HHWIN2 bytes, verbatim), allocating the next sequence number
 // from seq on success.

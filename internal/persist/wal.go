@@ -43,6 +43,11 @@ const (
 	// KindBlob logs an accepted /merge push: the body is the encoded
 	// HHSUM2/HHWIN2 blob, verbatim.
 	KindBlob byte = 3
+	// KindCounted logs one ingested counted batch: the body is the
+	// counted body of docs/WIRE.md, "Counted frames" — (uvarint key length, key,
+	// uvarint count) triples — verbatim, exactly as the hhwire frame
+	// carried it.
+	KindCounted byte = 4
 )
 
 // castagnoli is the CRC32C table every WAL and snapshot checksum uses.
@@ -107,7 +112,7 @@ func ParseRecordPayload(payload []byte) (Record, error) {
 		return Record{}, fmt.Errorf("record payload %d bytes, want >= %d", len(payload), minPayloadLen)
 	}
 	kind := payload[0]
-	if kind != KindBatch && kind != KindCreate && kind != KindBlob {
+	if kind != KindBatch && kind != KindCreate && kind != KindBlob && kind != KindCounted {
 		return Record{}, fmt.Errorf("unknown record kind %d", kind)
 	}
 	seq := binary.LittleEndian.Uint64(payload[1:9])

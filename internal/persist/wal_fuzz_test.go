@@ -22,10 +22,24 @@ func FuzzWALRecord(f *testing.F) {
 	f.Add(seed)
 	f.Add(seed[:len(seed)-5])
 	f.Add(EncodeRecord(nil, KindBatch, 99, "s", bytes.Repeat([]byte{'k'}, 64)))
+	// Counted records (kind 4): a segment mixing them with batches, and
+	// a bare payload with a body the registry's parser would reject —
+	// the WAL frames bodies, it does not judge them.
+	counted := buildSegment(
+		EncodeRecord(nil, KindCounted, 3, "queries", []byte("\x01a\x05\x02bb\x01")),
+		EncodeRecord(nil, KindBatch, 4, "queries", []byte("\x01a")),
+		EncodeRecord(nil, KindCounted, 5, "queries", nil),
+	)
+	f.Add(counted)
+	f.Add(counted[:len(counted)-3])
+	f.Add(EncodeRecord(nil, KindCounted, 7, "s", []byte{1, 'a', 0})[recHeaderLen:])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const maxRecord = 1 << 16
 		for _, tolerate := range []bool{true, false} {
 			rep, err := ScanSegment(bytes.NewReader(data), maxRecord, tolerate, func(rec Record) error {
+				if rec.Kind < KindBatch || rec.Kind > KindCounted {
+					t.Fatalf("delivered a record of unknown kind %d", rec.Kind)
+				}
 				// Every delivered record round-trips through the encoder
 				// to the exact payload bytes the CRC covered.
 				enc := EncodeRecord(nil, rec.Kind, rec.Seq, string(rec.Name), rec.Body)

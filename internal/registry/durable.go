@@ -204,7 +204,7 @@ func (r *Registry) applyRecord(rec persist.Record) error {
 			return fmt.Errorf("replaying creation of %q: %w", name, err)
 		}
 		return nil
-	case persist.KindBatch:
+	case persist.KindBatch, persist.KindCounted:
 		e, ok := r.Get(name)
 		if !ok || !e.durable {
 			r.recovery.Unroutable++
@@ -214,16 +214,31 @@ func (r *Registry) applyRecord(rec persist.Record) error {
 			r.recovery.Deduped++
 			return nil
 		}
-		// Borrowed-key parse straight off the record buffer: the live
-		// summary clones what it retains, exactly like the wire paths.
-		keys, err := AppendBinaryKeysBorrowed(nil, rec.Body)
-		if err != nil {
-			return fmt.Errorf("batch record for %q (seq %d): %w", name, rec.Seq, err)
+		// The wire's parsers and apply path, borrowing keys straight off
+		// the record buffer (the live summary clones what it retains): a
+		// record replays exactly as its frame was ingested.
+		var (
+			keys  []string
+			b     *CountedBatch
+			items int
+			err   error
+			what  = "batch"
+		)
+		if rec.Kind == persist.KindBatch {
+			keys, err = AppendBinaryKeysBorrowed(nil, rec.Body)
+			items = len(keys)
+		} else {
+			b, what = new(CountedBatch), "counted"
+			err = b.Parse(rec.Body, r.maxBody)
+			items = int(b.Items)
 		}
-		e.live.UpdateBatch(keys)
+		if err != nil {
+			return fmt.Errorf("%s record for %q (seq %d): %w", what, name, rec.Seq, err)
+		}
+		e.apply(keys, b)
 		e.walSeq.Store(rec.Seq)
 		r.recovery.ReplayedBatches++
-		r.recovery.ReplayedItems += len(keys)
+		r.recovery.ReplayedItems += items
 		return nil
 	case persist.KindBlob:
 		e, ok := r.Get(name)

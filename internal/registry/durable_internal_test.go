@@ -76,6 +76,44 @@ func TestApplyRecordIdempotent(t *testing.T) {
 	}
 }
 
+// TestApplyRecordCountedIdempotent: counted records take the batch
+// records' sequence gate — a repeated or covered record is a no-op, a
+// record past the pin applies its occurrences — and route and reject
+// like them.
+func TestApplyRecordCountedIdempotent(t *testing.T) {
+	r := newDurableRegistry(t, map[string]hh.Spec{"s": {Capacity: 64}})
+	e, _ := r.Get("s")
+	body := AppendCountedRecord(AppendCountedRecord(nil, "a", 3), "b", 2)
+	rec := persist.Record{Kind: persist.KindCounted, Seq: 1, Name: []byte("s"), Body: body}
+	for i := 0; i < 3; i++ {
+		if err := r.applyRecord(rec); err != nil {
+			t.Fatalf("apply %d: %v", i, err)
+		}
+	}
+	if n := e.live.N(); n != 5 {
+		t.Fatalf("after triple apply of seq 1: N = %.0f, want 5", n)
+	}
+	if r.recovery.Deduped != 2 || r.recovery.ReplayedBatches != 1 || r.recovery.ReplayedItems != 5 {
+		t.Fatalf("recovery counters = %+v, want 1 applied (5 items), 2 deduped", r.recovery)
+	}
+	e.walSeq.Store(10)
+	if err := r.applyRecord(persist.Record{Kind: persist.KindCounted, Seq: 9, Name: []byte("s"), Body: body}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.applyRecord(persist.Record{Kind: persist.KindCounted, Seq: 11, Name: []byte("s"), Body: body}); err != nil {
+		t.Fatal(err)
+	}
+	if n, seq := e.live.N(), e.walSeq.Load(); n != 10 || seq != 11 {
+		t.Fatalf("after covered seq 9 and new seq 11: N = %.0f, seq = %d; want 10, 11", n, seq)
+	}
+	if err := r.applyRecord(persist.Record{Kind: persist.KindCounted, Seq: 1, Name: []byte("gone"), Body: body}); err != nil || r.recovery.Unroutable != 1 {
+		t.Fatalf("unroutable counted record: %v, Unroutable = %d", err, r.recovery.Unroutable)
+	}
+	if err := r.applyRecord(persist.Record{Kind: persist.KindCounted, Seq: 12, Name: []byte("s"), Body: []byte{1, 'a', 0}}); err == nil {
+		t.Fatal("malformed counted body accepted")
+	}
+}
+
 func TestApplyRecordBlobIdempotent(t *testing.T) {
 	r := newDurableRegistry(t, map[string]hh.Spec{"s": {Capacity: 64}})
 	e, _ := r.Get("s")

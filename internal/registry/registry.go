@@ -81,7 +81,10 @@ var nameRE = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9._-]{0,127}$`)
 // Registry owns the named summaries a server instance serves.
 type Registry struct {
 	maxBlobs int
-	start    time.Time
+	// maxBody is the body-byte cap, which also bounds the occurrences
+	// one counted body may carry (CountedBatch.Parse) on replay.
+	maxBody int64
+	start   time.Time
 
 	mu      sync.RWMutex
 	entries map[string]*Entry //hh:guardedby mu
@@ -110,15 +113,38 @@ type Registry struct {
 func New(cfg Config) (*Registry, error) {
 	r := &Registry{
 		maxBlobs: cfg.MaxBlobs,
+		maxBody:  cfg.MaxBodyBytes,
 		start:    time.Now(),
 		entries:  make(map[string]*Entry),
 	}
 	if r.maxBlobs <= 0 {
 		r.maxBlobs = DefaultMaxBlobs
 	}
+	if r.maxBody <= 0 {
+		r.maxBody = DefaultMaxBodyBytes
+	}
+	if err := r.boot(cfg); err != nil {
+		// A failed boot must not leak the store it opened: its WAL
+		// segment stays open, and under fsync "interval" its sync
+		// goroutine would run forever.
+		if r.store != nil {
+			r.store.Close()
+		}
+		return nil, err
+	}
+	if r.store != nil {
+		r.snapStop = make(chan struct{})
+		r.snapDone = make(chan struct{})
+		go r.snapshotLoop()
+	}
+	return r, nil
+}
+
+// boot is New's fallible part: recovery, then the config stanzas.
+func (r *Registry) boot(cfg Config) error {
 	if cfg.Durability != nil {
-		if err := r.openDurability(*cfg.Durability, cfg.MaxBodyBytes); err != nil {
-			return nil, fmt.Errorf("registry: durability: %w", err)
+		if err := r.openDurability(*cfg.Durability, r.maxBody); err != nil {
+			return fmt.Errorf("registry: durability: %w", err)
 		}
 	}
 	// Deterministic creation order, so a config error always names the
@@ -136,23 +162,18 @@ func New(cfg Config) (*Registry, error) {
 			// side would change bounds behind the operator's back.
 			hardened, _, err := hardenSpec(spec)
 			if err != nil {
-				return nil, fmt.Errorf("registry: summary %q: %w", name, err)
+				return fmt.Errorf("registry: summary %q: %w", name, err)
 			}
 			if hardened != e.spec {
-				return nil, fmt.Errorf("registry: summary %q: config spec conflicts with the recovered state (remove the stanza, restore it, or move the data dir)", name)
+				return fmt.Errorf("registry: summary %q: config spec conflicts with the recovered state (remove the stanza, restore it, or move the data dir)", name)
 			}
 			continue
 		}
 		if _, err := r.Create(name, spec); err != nil {
-			return nil, fmt.Errorf("registry: summary %q: %w", name, err)
+			return fmt.Errorf("registry: summary %q: %w", name, err)
 		}
 	}
-	if r.store != nil {
-		r.snapStop = make(chan struct{})
-		r.snapDone = make(chan struct{})
-		go r.snapshotLoop()
-	}
-	return r, nil
+	return nil
 }
 
 // Create builds the summary for spec and registers it under name. The
@@ -474,22 +495,61 @@ func (e *Entry) IngestBatch(keys []string) error {
 	if len(keys) == 0 {
 		return nil
 	}
+	return e.ingest(keys, nil)
+}
+
+// IngestCounted records one parsed counted body — the hhwire counted
+// frame (docs/WIRE.md, "Counted frames") — through
+// Summary.UpdateCounts, so grouping compositions pay per distinct key
+// rather than per occurrence. On a durable entry the body is
+// WAL-logged verbatim, as one counted record, before it is applied;
+// the error contract is IngestBatch's. The ingest metrics count
+// b.Items occurrences, exactly what the expanded v1 batch would count.
+func (e *Entry) IngestCounted(b *CountedBatch) error {
+	if len(b.Keys) == 0 {
+		return nil
+	}
+	return e.ingest(nil, b)
+}
+
+// ingest logs (when durable) and then applies one batch: keys, or the
+// counted body b when b is non-nil.
+func (e *Entry) ingest(keys []string, b *CountedBatch) error {
 	if e.durable {
 		e.durMu.RLock()
-		err := e.store.AppendBatch(e.name, &e.walSeq, keys)
+		var err error
+		if b == nil {
+			err = e.store.AppendBatch(e.name, &e.walSeq, keys)
+		} else {
+			err = e.store.AppendCounted(e.name, &e.walSeq, b.Body)
+		}
 		if err == nil {
-			e.live.UpdateBatch(keys)
+			e.apply(keys, b)
 		}
 		e.durMu.RUnlock()
 		if err != nil {
 			return err
 		}
 	} else {
-		e.live.UpdateBatch(keys)
+		e.apply(keys, b)
 	}
-	e.items.Add(uint64(len(keys)))
+	n := uint64(len(keys))
+	if b != nil {
+		n = b.Items
+	}
+	e.items.Add(n)
 	e.batches.Add(1)
 	return nil
+}
+
+// apply feeds one batch — keys, or the counted body b — to the live
+// summary.
+func (e *Entry) apply(keys []string, b *CountedBatch) {
+	if b == nil {
+		e.live.UpdateBatch(keys)
+	} else {
+		e.live.UpdateCounts(b.Keys, b.Counts)
+	}
 }
 
 // AbsorbBlob decodes one encoded summary blob (flat "HHSUM2" or

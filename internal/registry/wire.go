@@ -153,6 +153,100 @@ func unsafeString(b []byte) string {
 	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
+// CountedBatch is one parsed counted body — the body of an hhwire
+// counted frame (docs/WIRE.md, "Counted frames") and of a counted WAL record:
+// repeated (uvarint key length, key, uvarint count) triples, meaning
+// the batch that carries each key count times, in pair order. A
+// CountedBatch is reusable scratch: Parse refills it without
+// allocating once its slices have grown to the largest body seen.
+type CountedBatch struct {
+	// Body is the parsed body, which Keys alias — the bytes a durable
+	// entry logs verbatim.
+	Body []byte
+	// Keys and Counts are the pairs in body order; a key may repeat.
+	Keys   []string
+	Counts []uint32
+	// Items is the sum of Counts: the occurrences the body carries.
+	Items uint64
+}
+
+// MaxCount bounds one pair's count: it must fit the uint32 counts of
+// Summary.UpdateCounts.
+const MaxCount = 1<<32 - 1
+
+// Parse parses body as a counted body into b, replacing its contents.
+// The keys alias body under the borrowed-key contract of
+// AppendBinaryKeysBorrowed. maxItems bounds the sum of the counts — the
+// occurrences one body may demand — and is clamped to MaxCount; <= 0
+// means DefaultMaxBodyBytes, the body-byte cap, which is the most
+// occurrences a v1 body of that cap can carry. Validation is strict
+// and total: a truncated or non-minimal uvarint, a key beyond
+// MaxKeyLen or past the end of the body, a count of 0 or past
+// MaxCount, or a sum past maxItems is an error, and on error b holds
+// no pairs, so nothing of a malformed body can reach a summary. Minimal
+// uvarints make every accepted body its own canonical encoding
+// (AppendCountedRecord re-encodes it byte for byte).
+//
+//hh:nopanic
+func (b *CountedBatch) Parse(body []byte, maxItems int64) error {
+	if maxItems <= 0 {
+		maxItems = DefaultMaxBodyBytes
+	}
+	limit := uint64(min(maxItems, MaxCount))
+	b.Body, b.Keys, b.Counts, b.Items = body, b.Keys[:0], b.Counts[:0], 0 //hh:checked a [:0] reslice cannot panic
+	fail := func(off int, format string, args ...any) error {
+		b.Body, b.Keys, b.Counts = nil, b.Keys[:0], b.Counts[:0] //hh:checked a [:0] reslice cannot panic
+		return fmt.Errorf("registry: counted record at byte %d: "+format, append([]any{off}, args...)...)
+	}
+	var sum uint64
+	for off := 0; off < len(body); {
+		start := off
+		n, w := binary.Uvarint(body[off:])
+		if w <= 0 {
+			return fail(start, "truncated or overlong key length")
+		}
+		if w > 1 && body[off+w-1] == 0 {
+			return fail(start, "non-minimal key length")
+		}
+		off += w
+		if n > MaxKeyLen {
+			return fail(start, "key of %d bytes exceeds the %d-byte limit", n, MaxKeyLen)
+		}
+		if uint64(len(body)-off) < n {
+			return fail(start, "key length %d runs past the body", n)
+		}
+		key := unsafeString(body[off : off+int(n)])
+		off += int(n)
+		c, w := binary.Uvarint(body[off:])
+		if w <= 0 {
+			return fail(start, "truncated or overlong count")
+		}
+		if w > 1 && body[off+w-1] == 0 {
+			return fail(start, "non-minimal count")
+		}
+		off += w
+		if c == 0 || c > MaxCount {
+			return fail(start, "count %d outside [1, %d]", c, uint64(MaxCount))
+		}
+		if sum += c; sum > limit {
+			return fail(start, "counts sum past the %d-occurrence bound", limit)
+		}
+		b.Keys = append(b.Keys, key)
+		b.Counts = append(b.Counts, uint32(c))
+	}
+	b.Items = sum
+	return nil
+}
+
+// AppendCountedRecord appends one counted-body triple for key occurring
+// count times to buf — the encoder matching CountedBatch.Parse. count
+// must be in [1, MaxCount] for the body to parse.
+func AppendCountedRecord(buf []byte, key string, count uint32) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(key)))
+	buf = append(buf, key...)
+	return binary.AppendUvarint(buf, uint64(count))
+}
+
 // AppendBinaryRecord appends one length-prefixed record for key to buf —
 // the encoder matching AppendBinaryKeys, shared by the client package
 // and tests so both ends of the wire agree by construction.

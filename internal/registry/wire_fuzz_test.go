@@ -3,9 +3,12 @@ package registry_test
 // FuzzIngestWire pins the ingest wire contract of POST /update for
 // both batch formats: an arbitrary body either ingests fully (200,
 // mass advances by exactly the acknowledged key count) or is rejected
-// whole (non-200, mass unchanged) — and the server never panics. This
-// is the nightly CI fuzz target for the server wire formats; the
-// push/PR jobs replay its seed corpus.
+// whole (non-200, mass unchanged) — and the server never panics. The
+// same bytes also run as an hhwire counted body (docs/WIRE.md, "Counted frames"):
+// rejected, it leaves the batch empty and N unchanged; accepted, it
+// moves N by exactly the sum of its counts and re-encodes byte for
+// byte. This is the nightly CI fuzz target for the server wire
+// formats; the push/PR jobs replay its seed corpus.
 
 import (
 	"bytes"
@@ -29,6 +32,14 @@ func FuzzIngestWire(f *testing.F) {
 	f.Add([]byte{0x10, 'a'}, true)                                                        // length past body end
 	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02}, true) // overlong uvarint
 	f.Add(append(registry.AppendBinaryRecord(nil, "good"), 0xff), true)
+	// Counted bodies: pairs, a repeated key, count 0, a non-minimal
+	// count, a count past 2^32−1, a truncated count.
+	f.Add(registry.AppendCountedRecord(registry.AppendCountedRecord(nil, "a", 3), "bb", 1), true)
+	f.Add(registry.AppendCountedRecord(registry.AppendCountedRecord(nil, "a", 200), "a", 1), true)
+	f.Add([]byte{1, 'a', 0}, true)
+	f.Add([]byte{1, 'a', 0x81, 0x00}, true)
+	f.Add([]byte{1, 'a', 0x80, 0x80, 0x80, 0x80, 0x10}, true)
+	f.Add([]byte{1, 'a'}, true)
 
 	reg, err := registry.New(registry.Config{
 		Summaries: map[string]hh.Spec{"fuzz": {Capacity: 32}},
@@ -39,12 +50,36 @@ func FuzzIngestWire(f *testing.F) {
 	srv := registry.NewServer(reg, 1<<20)
 	entry, _ := reg.Get("fuzz")
 
+	var cb registry.CountedBatch
 	f.Fuzz(func(t *testing.T, body []byte, binaryCT bool) {
+		before := entry.Live().N()
+		if err := cb.Parse(body, 1<<20); err != nil {
+			if len(cb.Keys) != 0 || len(cb.Counts) != 0 || cb.Items != 0 {
+				t.Fatalf("rejected counted body left pairs: %d keys, %d items", len(cb.Keys), cb.Items)
+			}
+		} else {
+			var re []byte
+			var sum uint64
+			for i, k := range cb.Keys {
+				re = registry.AppendCountedRecord(re, k, cb.Counts[i])
+				sum += uint64(cb.Counts[i])
+			}
+			if !bytes.Equal(re, body) || sum != cb.Items {
+				t.Fatalf("accepted counted body %x re-encodes to %x (sum %d, items %d)", body, re, sum, cb.Items)
+			}
+		}
+		if err := entry.IngestCounted(&cb); err != nil {
+			t.Fatal(err)
+		}
+		if after := entry.Live().N(); after != before+float64(cb.Items) {
+			t.Fatalf("counted body of %d items moved mass %v -> %v", cb.Items, before, after)
+		}
+
 		ct := registry.ContentTypeText
 		if binaryCT {
 			ct = registry.ContentTypeBinary
 		}
-		before := entry.Live().N()
+		before = entry.Live().N()
 		req := httptest.NewRequest(http.MethodPost, "/v1/fuzz/update", bytes.NewReader(body))
 		req.Header.Set("Content-Type", ct)
 		rec := httptest.NewRecorder()

@@ -36,7 +36,7 @@ type Listener struct {
 	wg     sync.WaitGroup
 
 	frames atomic.Uint64 // TCP frames ingested
-	items  atomic.Uint64 // keys ingested across both transports
+	items  atomic.Uint64 // key occurrences ingested across both transports
 	kills  atomic.Uint64 // TCP connections killed on protocol errors
 	drops  atomic.Uint64 // UDP datagrams dropped (malformed or unknown name)
 	grams  atomic.Uint64 // UDP datagrams ingested
@@ -45,7 +45,7 @@ type Listener struct {
 // Stats is a point-in-time snapshot of a Listener's counters.
 type Stats struct {
 	Frames    uint64 // TCP frames ingested
-	Items     uint64 // keys ingested across both transports
+	Items     uint64 // key occurrences ingested across both transports (a counted pair counts its count)
 	Kills     uint64 // TCP connections killed on protocol errors
 	Datagrams uint64 // UDP datagrams ingested
 	Drops     uint64 // UDP datagrams dropped
@@ -118,6 +118,7 @@ func (l *Listener) ServeUDP(pc net.PacketConn) error {
 	// datagram that carried it cannot exist.
 	buf := make([]byte, 64<<10)
 	var keys []string
+	var cb registry.CountedBatch
 	for {
 		n, _, err := pc.ReadFrom(buf)
 		if err != nil {
@@ -136,20 +137,40 @@ func (l *Listener) ServeUDP(pc net.PacketConn) error {
 			l.drops.Add(1)
 			continue
 		}
-		keys, err = registry.AppendBinaryKeysBorrowed(keys[:0], f.Body)
+		var items uint64
+		keys, items, err = l.ingest(e, f.Flags, f.Body, keys, &cb)
 		if err != nil {
-			l.drops.Add(1)
-			continue
-		}
-		if err := e.IngestBatch(keys); err != nil {
-			// WAL append failed: the datagram was not applied. UDP is
-			// the lossy plane — count the drop and keep serving.
+			// A malformed body, or a failed WAL append: the datagram was
+			// not applied. UDP is the lossy plane — count the drop and
+			// keep serving.
 			l.drops.Add(1)
 			continue
 		}
 		l.grams.Add(1)
-		l.items.Add(uint64(len(keys)))
+		l.items.Add(items)
 	}
+}
+
+// ingest parses one frame body — whole, before any of it is applied —
+// and ingests it into e: a v1 body as one borrowed-key batch, a counted
+// body through the counted path. It returns the key scratch for reuse
+// and the occurrences ingested. The keys alias body, which the caller
+// leaves untouched until ingest returns; registry summaries clone any
+// key they retain (borrowed-key ingest).
+func (l *Listener) ingest(e *registry.Entry, flags byte, body []byte, keys []string, cb *registry.CountedBatch) ([]string, uint64, error) {
+	if flags&FlagCounted != 0 {
+		if err := cb.Parse(body, int64(l.maxBody)); err != nil {
+			return keys, 0, err
+		}
+		err := e.IngestCounted(cb)
+		clear(cb.Keys) // drop the frame's key views before the buffer is reused
+		return keys, cb.Items, err
+	}
+	keys, err := registry.AppendBinaryKeysBorrowed(keys[:0], body)
+	if err != nil {
+		return keys, 0, err
+	}
+	return keys, uint64(len(keys)), e.IngestBatch(keys)
 }
 
 // serveConn runs one TCP connection's frame loop. Any protocol error —
@@ -171,6 +192,7 @@ func (l *Listener) serveConn(c net.Conn) {
 	var hdr [HeaderLen]byte
 	var frame []byte // name+body scratch, reused across frames
 	var keys []string
+	var cb registry.CountedBatch
 	var ack []byte
 	for {
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
@@ -198,23 +220,20 @@ func (l *Listener) serveConn(c net.Conn) {
 			return
 		}
 		// Zero-copy parse: keys alias frame, which stays untouched
-		// until IngestBatch returns; registry summaries clone any key
-		// they retain (borrowed-key ingest).
-		keys, err = registry.AppendBinaryKeysBorrowed(keys[:0], frame[nameLen:])
+		// until the ingest returns.
+		var items uint64
+		keys, items, err = l.ingest(e, flags, frame[nameLen:], keys, &cb)
 		if err != nil {
-			l.kills.Add(1)
-			return
-		}
-		if err := e.IngestBatch(keys); err != nil {
-			// WAL append failed: nothing was applied, and acking later
-			// frames while this one silently vanished would break the
-			// protocol's in-order promise — kill the connection so the
-			// client knows exactly which suffix to retry.
+			// A malformed body, or a failed WAL append: nothing was
+			// applied, and acking later frames while this one silently
+			// vanished would break the protocol's in-order promise —
+			// kill the connection so the client knows exactly which
+			// suffix to retry.
 			l.kills.Add(1)
 			return
 		}
 		l.frames.Add(1)
-		l.items.Add(uint64(len(keys)))
+		l.items.Add(items)
 		if flags&FlagAck != 0 {
 			// IngestBatch applies the batch before it returns, so the
 			// ack means "applied", not merely "queued".

@@ -14,12 +14,15 @@
 //	offset  size  field
 //	0       4     magic "HHWB"
 //	4       1     version (0x01)
-//	5       1     flags (bit 0 ACK; bits 1-7 reserved, must be zero)
+//	5       1     flags (bit 0 ACK; bit 1 COUNTED; bits 2-7 reserved,
+//	              must be zero)
 //	6       2     name length N, uint16 little-endian, 1..128
 //	8       4     body length B, uint32 little-endian, 0..max body
 //	12      N     summary name (the registry name, UTF-8)
 //	12+N    B     body: uvarint-length-prefixed key records — exactly
-//	              the application/x-hh-batch format of POST /update
+//	              the application/x-hh-batch format of POST /update —
+//	              or, under COUNTED, (key length, key, uvarint count)
+//	              triples meaning each key count times
 //
 // Error handling is whole-or-nothing at frame granularity: a frame
 // either parses completely and is ingested as one batch, or it is
@@ -47,7 +50,9 @@ const (
 	// Compatibility policy: the version byte bumps on any change to the
 	// frame layout; a server rejects versions it does not implement
 	// (killing the TCP connection or dropping the datagram), so a
-	// mixed-version fleet fails loudly rather than misparsing.
+	// mixed-version fleet fails loudly rather than misparsing. A
+	// reserved flag bit (FlagCounted) is assigned without a bump: older
+	// servers reject it just as loudly.
 	Version = 1
 	// HeaderLen is the fixed-size frame prefix before name and body.
 	HeaderLen = 12
@@ -58,6 +63,12 @@ const (
 	// frame carrying it is malformed (datagrams promise no delivery, so
 	// an ack would promise what the transport cannot).
 	FlagAck = 1 << 0
+	// FlagCounted marks a counted body (docs/WIRE.md, "Counted frames"): (uvarint key
+	// length, key, uvarint count) triples, meaning the v1 body that
+	// carries each key count times, in pair order. Clients fold a
+	// frame's duplicate keys into it; a server that predates it treats
+	// the bit as reserved, so servers upgrade before clients.
+	FlagCounted = 1 << 1
 	// MaxNameLen bounds the summary-name field, matching the registry's
 	// name grammar (1-128 of [A-Za-z0-9._-]).
 	MaxNameLen = 128
@@ -95,7 +106,7 @@ func ParseHeader(h []byte, maxBody int) (nameLen, bodyLen int, flags byte, err e
 		return 0, 0, 0, fmt.Errorf("wire: unsupported version %d (this side speaks %d)", h[4], Version)
 	}
 	flags = h[5]
-	if flags&^FlagAck != 0 {
+	if flags&^(FlagAck|FlagCounted) != 0 {
 		return 0, 0, 0, fmt.Errorf("wire: reserved flag bits set: %#02x", flags)
 	}
 	nameLen = int(binary.LittleEndian.Uint16(h[6:8]))
@@ -138,7 +149,8 @@ func ParseFrame(buf []byte, maxBody int) (Frame, error) {
 
 // AppendFrame appends one complete frame to dst: header, name, body.
 // body must already be in the uvarint record format (see
-// registry.AppendBinaryRecord). It panics if name or body exceed the
+// registry.AppendBinaryRecord), or the counted format
+// (registry.AppendCountedRecord) with FlagCounted set. It panics if name or body exceed the
 // frame's field limits — both are caller bugs, not wire conditions.
 func AppendFrame(dst []byte, name string, flags byte, body []byte) []byte {
 	if len(name) < 1 || len(name) > MaxNameLen {

@@ -308,36 +308,113 @@ func TestShutdownDrains(t *testing.T) {
 	}
 }
 
-// FuzzWireFrame pins the decoder's totality: arbitrary bytes must
-// produce an error or a well-formed Frame, never a panic — the
-// machine-checked //hh:nopanic contract of docs/WIRE.md's "error
-// behavior" section. Valid frames must round-trip byte-exactly.
-func FuzzWireFrame(f *testing.F) {
-	f.Add(frame("queries", 0, "alpha", "beta"))
-	f.Add(frame("s", wire.FlagAck))
-	f.Add(frame("a.very-long_name.0", 0, "", "k"))
-	f.Add([]byte(wire.Magic))
-	f.Add([]byte("HHWB\x01\x00\x01\x00\x00\x00\x00\x00s"))
-	f.Add([]byte("HHWA\x01\x00\x00\x00"))
-	f.Add(bytes.Repeat([]byte{0xff}, 64))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, err := wire.ParseFrame(data, 1<<20)
+// counted builds a counted frame (FlagCounted) from (key, count) pairs.
+func counted(name string, flags byte, pairs ...any) []byte {
+	var body []byte
+	for i := 0; i < len(pairs); i += 2 {
+		body = registry.AppendCountedRecord(body, pairs[i].(string), pairs[i+1].(uint32))
+	}
+	return wire.AppendFrame(nil, name, flags|wire.FlagCounted, body)
+}
+
+// TestListenerCountedTCP: counted frames ingest as their expansion —
+// duplicate keys in a body sum — interleaved with v1 frames on one
+// connection, acks covering both, and the listener counts occurrences.
+func TestListenerCountedTCP(t *testing.T) {
+	l, addr, e := newTestListener(t)
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var buf []byte
+	buf = append(buf, counted("s", 0, "a", uint32(5), "b", uint32(2))...)
+	buf = append(buf, frame("s", 0, "a", "c")...)
+	buf = append(buf, counted("s", wire.FlagAck, "c", uint32(3), "a", uint32(1), "c", uint32(1))...)
+	if _, err := c.Write(buf); err != nil {
+		t.Fatal(err)
+	}
+	ack := make([]byte, wire.AckLen)
+	if _, err := io.ReadFull(c, ack); err != nil {
+		t.Fatal(err)
+	}
+	if n := e.Live().N(); n != 14 {
+		t.Fatalf("N = %v, want 14", n)
+	}
+	for k, want := range map[string]float64{"a": 7, "b": 2, "c": 5} {
+		if got := e.Live().Estimate(k); got != want {
+			t.Errorf("Estimate(%s) = %v, want %v", k, got, want)
+		}
+	}
+	if st := l.Stats(); st.Frames != 3 || st.Items != 14 {
+		t.Fatalf("stats = %+v, want 3 frames, 14 items", st)
+	}
+}
+
+// TestListenerCountedMalformed: a malformed counted body kills the TCP
+// connection and drops the UDP datagram, moving nothing either way.
+func TestListenerCountedMalformed(t *testing.T) {
+	bad := map[string][]byte{
+		"truncated key":   wire.AppendFrame(nil, "s", wire.FlagCounted, []byte{3, 'a'}),
+		"truncated count": wire.AppendFrame(nil, "s", wire.FlagCounted, []byte{1, 'a'}),
+		"count 0":         wire.AppendFrame(nil, "s", wire.FlagCounted, []byte{1, 'a', 0}),
+		"count >= 2^32":   wire.AppendFrame(nil, "s", wire.FlagCounted, binary.AppendUvarint([]byte{1, 'a'}, 1<<32)),
+		// 2^20 + 1 occurrences in 6 bytes: past the listener's 1 MiB cap.
+		"sum over cap": counted("s", 0, "a", uint32(1<<20), "b", uint32(1)),
+	}
+	l, addr, e := newTestListener(t)
+	for name, fr := range bad {
+		c, err := net.Dial("tcp", addr)
 		if err != nil {
-			return
+			t.Fatal(err)
 		}
-		if len(fr.Name) < 1 || len(fr.Name) > wire.MaxNameLen {
-			t.Fatalf("accepted frame with name length %d", len(fr.Name))
+		c.Write(fr)
+		c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := c.Read(make([]byte, 1)); err == nil {
+			t.Fatalf("%s: connection survived", name)
 		}
-		// Re-encoding an accepted frame reproduces the input exactly —
-		// parser and encoder agree on every byte.
-		out := wire.AppendFrame(nil, string(fr.Name), fr.Flags, fr.Body)
-		if !bytes.Equal(out, data) {
-			t.Fatalf("round-trip mismatch:\n in  %q\n out %q", data, out)
+		c.Close()
+		if n := e.Live().N(); n != 0 {
+			t.Fatalf("%s: moved N to %v", name, n)
 		}
-		// The batch body parses or errors, never panics (the listener
-		// would kill/drop on error without ingesting).
-		if keys, err := registry.AppendBinaryKeys(nil, fr.Body); err == nil {
-			_ = keys
-		}
-	})
+	}
+	if st := l.Stats(); st.Kills != uint64(len(bad)) || st.Items != 0 {
+		t.Fatalf("stats = %+v, want %d kills", st, len(bad))
+	}
+
+	reg, err := registry.New(registry.Config{Summaries: map[string]hh.Spec{"s": {Capacity: 64}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ul := wire.NewListener(reg, 1<<20)
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go ul.ServeUDP(pc)
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		defer cancel()
+		ul.Shutdown(ctx)
+	}()
+	uc, err := net.Dial("udp", pc.LocalAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer uc.Close()
+	for _, fr := range bad {
+		uc.Write(fr)
+	}
+	uc.Write(counted("s", 0, "x", uint32(4), "y", uint32(1)))
+	ue, _ := reg.Get("s")
+	deadline := time.Now().Add(5 * time.Second)
+	for ue.Live().N() < 5 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n, x := ue.Live().N(), ue.Live().Estimate("x"); n != 5 || x != 4 {
+		t.Fatalf("UDP: N = %v, x = %v; want 5, 4", n, x)
+	}
+	if st := ul.Stats(); st.Datagrams != 1 || st.Drops != uint64(len(bad)) || st.Items != 5 {
+		t.Fatalf("UDP stats = %+v, want 1 datagram, %d drops, 5 items", st, len(bad))
+	}
 }

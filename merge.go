@@ -139,7 +139,7 @@ func (mg *Merger[K]) result() (Summary[K], error) {
 	if mg.hasG {
 		be.g, be.hasG = MergedGuarantee(mg.g), true
 	}
-	return &summary[K]{algo: AlgoSpaceSaving, be: be}, nil
+	return newSummary[K](AlgoSpaceSaving, be, keyHasher[K](0), false, true), nil
 }
 
 // Deprecated: prefer MergeSummaries (or Summary.Merge), which carries

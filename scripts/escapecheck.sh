@@ -10,7 +10,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 PKGS=(. ./internal/spacesaving ./internal/frequent ./internal/lossycounting
-	./internal/sketch ./internal/hashing ./internal/core ./internal/arena)
+	./internal/sketch ./internal/hashing ./internal/core ./internal/arena
+	./internal/coalesce)
 BASELINE=scripts/escape_baseline.txt
 
 # A fresh build cache: -gcflags=-m diagnostics are not replayed for

@@ -7,10 +7,10 @@ import (
 	"io"
 	"iter"
 	"math"
-	"math/bits"
 	"slices"
 	"sync"
 
+	"repro/internal/coalesce"
 	"repro/internal/core"
 	"repro/internal/frequent"
 	"repro/internal/lossycounting"
@@ -60,6 +60,21 @@ type Summary[K comparable] interface {
 	// sharded summary the batch is partitioned first and each shard is
 	// locked once, amortizing the per-update locking of the hot path.
 	UpdateBatch(items []K)
+	// UpdateCounts records counts[i] occurrences of items[i] for every
+	// i: the occurrences of the batch that carries each items[i]
+	// counts[i] times, in pair order. Keys may repeat (their counts add
+	// up) and a zero count records nothing. It is the counted-batch
+	// entry of the hhwire counted frame (docs/WIRE.md): compositions
+	// whose n-fold update equals n unit updates group the pairs by key,
+	// in first-occurrence order — the order a sharded UpdateBatch
+	// applies a batch in — and apply each distinct key once, through
+	// one AddN (the Section 6 identity), so the cost scales with
+	// distinct keys rather than occurrences; LOSSYCOUNTING and
+	// WithDecay compositions replay the unit updates in pair order. It
+	// panics when len(counts) != len(items), or when one key's counts
+	// within a call sum past 2^32−1 on a grouping composition (in both
+	// cases before anything is recorded).
+	UpdateCounts(items []K, counts []uint32)
 	// UpdateWeighted records w occurrences' worth of item; w must be
 	// positive. Summaries built with WithWeighted accept any positive
 	// w (Section 6.1); all other backends accept integral w only and
@@ -194,7 +209,7 @@ func New[K comparable](opts ...Option) Summary[K] {
 	if cfg.concurrent {
 		be = newConcurrentTier(cfg, be)
 	}
-	return &summary[K]{algo: cfg.algo, be: be}
+	return newSummary(cfg.algo, be, hash, cfg.shards > 0, cfg.coalescible())
 }
 
 // newBackend builds the backend for one shard, layering the window or
@@ -361,6 +376,27 @@ type backend[K comparable] interface {
 type summary[K comparable] struct {
 	algo Algo
 	be   backend[K]
+
+	// UpdateCounts plumbing. A sharded composition groups counted pairs
+	// in its own partition pass; an unsharded one is grouped here, in
+	// pooled scratch, pooled because a WithConcurrent summary takes
+	// counted batches from many goroutines and the grouping runs before
+	// the write lock. hash is the composition's key hash (the closure
+	// the backends share), so grouped hashes feed the arena kernels
+	// unchanged.
+	hash     func(K) uint64 //hh:noalloc
+	sharded  bool
+	coalesce bool
+	scratch  sync.Pool // *batchScratch[K], one bucket
+}
+
+// newSummary wraps be. hash must be the composition's key hash;
+// sharded and coalesce describe the composition (see UpdateCounts).
+func newSummary[K comparable](algo Algo, be backend[K], hash func(K) uint64, sharded, coalesce bool) *summary[K] {
+	//hh:allocok hash is a keyHasher closure; its branches call only mix64/fnv1a/maphash.Comparable
+	s := &summary[K]{algo: algo, be: be, hash: hash, sharded: sharded, coalesce: coalesce}
+	s.scratch.New = func() any { return newBatchScratch[K](1) }
+	return s
 }
 
 //hh:noalloc
@@ -368,6 +404,46 @@ func (s *summary[K]) Update(item K) { s.be.update(item) }
 
 //hh:noalloc
 func (s *summary[K]) UpdateBatch(items []K) { s.be.updateBatch(items, nil) }
+
+//hh:noalloc
+func (s *summary[K]) UpdateCounts(items []K, counts []uint32) {
+	if len(counts) != len(items) {
+		panic("heavyhitters: UpdateCounts needs exactly one count per item")
+	}
+	switch {
+	case len(items) == 0:
+	case !s.coalesce:
+		// Unit replay in pair order, through the per-arrival path.
+		for i, it := range items {
+			for c := counts[i]; c > 0; c-- {
+				s.be.update(it)
+			}
+		}
+	case s.sharded:
+		// The sharded tier partitions and groups in one pass.
+		s.be.updateBatchN(items, counts, nil)
+	default:
+		g := s.scratch.Get().(*batchScratch[K]).reset()
+		groupInto(g, s.hash, items, counts)
+		if len(g.keys[0]) > 0 {
+			s.be.updateBatchN(g.keys[0], g.counts[0], g.hashes[0])
+		}
+		g.dropKeys()
+		s.scratch.Put(g)
+	}
+}
+
+// addCount adds a pair's count to its group's, refusing to wrap: one
+// key's counts in one counted batch must sum below 2^32 (the hhwire
+// counted frame bounds its whole sum far lower).
+//
+//hh:noalloc
+func addCount(sum, c uint32) uint32 {
+	if sum+c < c {
+		panic("heavyhitters: UpdateCounts: one key's counts sum past 2^32-1")
+	}
+	return sum + c
+}
 
 //hh:noalloc
 func (s *summary[K]) UpdateWeighted(item K, w float64) {
@@ -836,39 +912,47 @@ type shardMergeScratch[K comparable] struct {
 }
 
 // batchScratch is the reusable partition workspace of one UpdateBatch
-// call: per-shard key buckets plus each key's hash, computed once and
-// reused by hashing backends for their row hashes, and — when the
-// composition coalesces — per-group occurrence counts plus the
-// open-addressing dedup table that builds them.
+// or counted-batch call: per-shard key buckets plus each key's hash,
+// computed once and reused by hashing backends for their row hashes,
+// and — when the composition coalesces, or the batch is counted —
+// per-group occurrence counts, grouped through the shared coalescing
+// table (internal/coalesce).
 type batchScratch[K comparable] struct {
 	keys   [][]K
 	hashes [][]uint64
 	counts [][]uint32
-	// tab is the coalescing hash table: generation-stamped entries, so
-	// clearing between batches is a single counter bump rather than an
-	// O(len(tab)) wipe. A key's home slot comes from the well-mixed end
-	// of its hash (see coalesceHome). Sized to the next power of two ≥
-	// 2× the largest batch seen, then reused.
-	tab []coalEntry
-	gen uint32
-	// shift is coalesceHome's shift for this table: 0 (the low bits)
-	// for FNV-1a string hashes, 64 − log2(len(tab)) (the high bits)
-	// otherwise.
-	shift uint
+	tab    coalesce.Table
 }
 
-// coalEntry is one coalescing-table slot: the key's full hash for cheap
-// rejection, the stamping generation, and the group's index inside its
-// shard bucket. The shard itself is not stored — it re-derives as
-// h % p on a duplicate hit — keeping the entry at 16 bytes, which
-// matters because every probe is a random access into a table sized 2×
-// the batch. The price is one modulo per hit, and hits are not rare:
-// in a burst batch of 4096 arrivals over ~410 distinct keys, nine
-// probes in ten are hits.
-type coalEntry struct {
-	h   uint64
-	gen uint32
-	idx int32
+func newBatchScratch[K comparable](p int) *batchScratch[K] {
+	return &batchScratch[K]{
+		keys:   make([][]K, p),
+		hashes: make([][]uint64, p),
+		counts: make([][]uint32, p),
+	}
+}
+
+// reset empties every bucket and returns sc.
+//
+//hh:noalloc
+func (sc *batchScratch[K]) reset() *batchScratch[K] {
+	for i := range sc.keys {
+		sc.keys[i] = sc.keys[i][:0]
+		sc.hashes[i] = sc.hashes[i][:0]
+		sc.counts[i] = sc.counts[i][:0]
+	}
+	return sc
+}
+
+// dropKeys clears the buckets' key references before sc is pooled, so
+// a parked workspace cannot pin the previous batch's keys (or a
+// borrowed frame buffer) in memory.
+//
+//hh:noalloc
+func (sc *batchScratch[K]) dropKeys() {
+	for i := range sc.keys {
+		clear(sc.keys[i])
+	}
 }
 
 func newShardedBackend[K comparable](p int, coalesce bool, hash func(K) uint64, mk func(int) backend[K]) *shardedBackend[K] {
@@ -877,13 +961,7 @@ func newShardedBackend[K comparable](p int, coalesce bool, hash func(K) uint64, 
 	for i := range b.slots {
 		b.slots[i].be = mk(i)
 	}
-	b.pool.New = func() any {
-		return &batchScratch[K]{
-			keys:   make([][]K, p),
-			hashes: make([][]uint64, p),
-			counts: make([][]uint32, p),
-		}
-	}
+	b.pool.New = func() any { return newBatchScratch[K](p) }
 	b.mergePool.New = func() any { return &shardMergeScratch[K]{} }
 	return b
 }
@@ -923,58 +1001,60 @@ func (b *shardedBackend[K]) updateWeighted(item K, w float64) {
 // partition hash doubles as the key hash of sketch backends (both are
 // keyHasher(seed)), and the buckets live in pooled scratch buffers.
 // Coalescing compositions additionally group the batch's duplicate keys
-// during partitioning and apply each group as one AddN — see coalesceInto
-// for the transform and the coalesce field for its soundness argument.
+// during partitioning and apply each group as one AddN — updateBatchN
+// with every count 1; see the coalesce field for its soundness
+// argument.
 //
 //hh:noalloc
 func (b *shardedBackend[K]) updateBatch(items []K, _ []uint64) {
 	if len(items) == 0 {
 		return
 	}
-	p := uint64(len(b.slots))
-	if !b.coalesce {
-		if p == 1 {
-			sl := &b.slots[0]
-			sl.mu.Lock()
-			sl.be.updateBatch(items, nil)
-			sl.mu.Unlock()
-			return
-		}
-		sc := b.pool.Get().(*batchScratch[K])
-		for i := range sc.keys {
-			sc.keys[i] = sc.keys[i][:0]
-			sc.hashes[i] = sc.hashes[i][:0]
-		}
-		for _, it := range items {
-			h := b.hash(it)
-			i := h % p
-			sc.keys[i] = append(sc.keys[i], it)
-			sc.hashes[i] = append(sc.hashes[i], h)
-		}
-		for i := range sc.keys {
-			if len(sc.keys[i]) == 0 {
-				continue
-			}
-			sl := &b.slots[i]
-			sl.mu.Lock()
-			sl.be.updateBatch(sc.keys[i], sc.hashes[i])
-			sl.mu.Unlock()
-		}
-		for i := range sc.keys {
-			// Drop key references before pooling so a parked scratch buffer
-			// cannot pin the previous batch's keys in memory.
-			clear(sc.keys[i])
-		}
-		b.pool.Put(sc)
+	if b.coalesce {
+		b.updateBatchN(items, nil, nil)
 		return
 	}
-	sc := b.pool.Get().(*batchScratch[K])
-	for i := range sc.keys {
-		sc.keys[i] = sc.keys[i][:0]
-		sc.hashes[i] = sc.hashes[i][:0]
-		sc.counts[i] = sc.counts[i][:0]
+	p := uint64(len(b.slots))
+	if p == 1 {
+		sl := &b.slots[0]
+		sl.mu.Lock()
+		sl.be.updateBatch(items, nil)
+		sl.mu.Unlock()
+		return
 	}
-	b.coalesceInto(sc, items)
+	sc := b.pool.Get().(*batchScratch[K]).reset()
+	for _, it := range items {
+		h := b.hash(it)
+		i := h % p
+		sc.keys[i] = append(sc.keys[i], it)
+		sc.hashes[i] = append(sc.hashes[i], h)
+	}
+	for i := range sc.keys {
+		if len(sc.keys[i]) == 0 {
+			continue
+		}
+		sl := &b.slots[i]
+		sl.mu.Lock()
+		sl.be.updateBatch(sc.keys[i], sc.hashes[i])
+		sl.mu.Unlock()
+	}
+	sc.dropKeys()
+	b.pool.Put(sc)
+}
+
+// updateBatchN is the grouped batch path: partition the pairs across
+// the shard buckets while merging each shard's duplicate keys
+// (groupInto), then apply each shard's distinct groups through one
+// updateBatchN — AddNBatch on the counter structures — under one lock
+// round. It takes repeated keys, and counts nil means every item
+// occurs once (UpdateBatch); hashes is ignored, since the partition
+// pass hashes every key itself. Only coalescing compositions reach it:
+// Summary.UpdateCounts replays unit updates on the others.
+//
+//hh:noalloc
+func (b *shardedBackend[K]) updateBatchN(items []K, counts []uint32, _ []uint64) {
+	sc := b.pool.Get().(*batchScratch[K]).reset()
+	groupInto(sc, b.hash, items, counts)
 	for i := range sc.keys {
 		if len(sc.keys[i]) == 0 {
 			continue
@@ -984,99 +1064,42 @@ func (b *shardedBackend[K]) updateBatch(items []K, _ []uint64) {
 		sl.be.updateBatchN(sc.keys[i], sc.counts[i], sc.hashes[i])
 		sl.mu.Unlock()
 	}
-	for i := range sc.keys {
-		// Drop key references before pooling so a parked scratch buffer
-		// cannot pin the previous batch's keys in memory.
-		clear(sc.keys[i])
-	}
+	sc.dropKeys()
 	b.pool.Put(sc)
 }
 
-// coalesceInto partitions items across the shard buckets of sc while
-// grouping duplicate keys: each distinct key lands in its shard's bucket
-// once, in first-occurrence order, with counts carrying the number of
-// occurrences. The dedup table probes from the hash's well-mixed end,
-// confirms candidate identity by comparing the full hash and then the
-// key itself (a colliding hash never merges distinct keys), and is
-// cleared between batches by a generation bump. The table grows to the high-water batch
-// size and is pooled with the buckets, so the steady state allocates
-// nothing.
+// groupInto partitions items across the len(sc.keys) buckets of sc
+// (bucket h mod p: the shard) while grouping duplicate keys: each
+// distinct key lands in its bucket once, in first-occurrence order,
+// with counts carrying its summed occurrences (1 per item when counts
+// is nil; zero counts are skipped). The grouping table
+// (internal/coalesce) probes from the hash's well-mixed end, confirms
+// candidate identity by comparing the full hash and then the key
+// itself (a colliding hash never merges distinct keys), and stores each
+// group's index inside its bucket — the bucket re-derives from h. It
+// grows to the high-water batch size and is pooled with the buckets,
+// so the steady state allocates nothing.
 //
 //hh:noalloc
-func (b *shardedBackend[K]) coalesceInto(sc *batchScratch[K], items []K) {
-	if need := 2 * len(items); need > len(sc.tab) {
-		n := 64
-		for n < need {
-			n <<= 1
-		}
-		sc.tab = make([]coalEntry, n) //hh:allocok pooled table grows to the high-water batch size, then is reused
-		sc.shift = 0
-		if !lowBitsHash[K]() {
-			sc.shift = 64 - uint(bits.TrailingZeros(uint(n)))
-		}
-		sc.gen = 0
-	}
-	sc.gen++
-	if sc.gen == 0 {
-		// Generation counter wrapped: stale entries from 2^32 batches ago
-		// could alias the new generation, so take the one-off O(len) wipe.
-		clear(sc.tab)
-		sc.gen = 1
-	}
-	gen := sc.gen
-	p := uint64(len(b.slots))
-	mask := uint64(len(sc.tab) - 1)
-	for _, it := range items {
-		h := b.hash(it)
-		pos := coalesceHome(h, sc.shift, mask)
-		for {
-			e := &sc.tab[pos]
-			if e.gen != gen {
-				si := h % p
-				*e = coalEntry{h: h, gen: gen, idx: int32(len(sc.keys[si]))}
-				sc.keys[si] = append(sc.keys[si], it)
-				sc.hashes[si] = append(sc.hashes[si], h)
-				sc.counts[si] = append(sc.counts[si], 1)
-				break
-			}
-			if e.h == h {
-				si := h % p
-				if sc.keys[si][e.idx] == it {
-					sc.counts[si][e.idx]++
-					break
-				}
-			}
-			pos = (pos + 1) & mask
-		}
-	}
-}
-
-// coalesceHome is the coalescing table's home slot for hash h in a
-// table of mask+1 slots: the low bits when shift is 0, the high bits
-// when shift is 64 − log2(mask+1), whichever end lowBitsHash says the
-// key's hash family mixes. The other end costs: FNV-1a string hashes
-// read from the high bits piled 4096 sequential decimal keys into
-// chains averaging 81 probes in 8192 slots (1.4 from the low bits),
-// and mix64 integer hashes read from the low bits lose the
-// collision-free spread of sequential integers (1.5 probes, ~15%
-// slower all-distinct coalescing). Shard placement also reads the low
-// bits (h mod p), but one table serves every shard, so sharing them
-// costs nothing.
-//
-//hh:noalloc
-func coalesceHome(h uint64, shift uint, mask uint64) uint64 { return (h >> shift) & mask }
-
-// updateBatchN routes pre-coalesced groups item by item. No composition
-// calls it today — the sharded tier is never an inner backend that is
-// handed coalesced groups, and UpdateBatch coalesces and locks per
-// shard above — but the backend[K] contract requires it.
-//
-//hh:noalloc
-func (b *shardedBackend[K]) updateBatchN(items []K, counts []uint32, _ []uint64) {
+func groupInto[K comparable](sc *batchScratch[K], hash func(K) uint64, items []K, counts []uint32) {
+	sc.tab.Reset(len(items), lowBitsHash[K]())
+	p := uint64(len(sc.keys))
 	for i, it := range items {
-		if counts[i] > 0 {
-			b.updateN(it, uint64(counts[i]))
+		c := uint32(1)
+		if counts != nil {
+			if c = counts[i]; c == 0 {
+				continue
+			}
 		}
+		h := hash(it)
+		si := h % p
+		if g, ok := coalesce.Find(&sc.tab, h, it, sc.keys[si]); ok {
+			sc.counts[si][g] = addCount(sc.counts[si][g], c)
+			continue
+		}
+		sc.keys[si] = append(sc.keys[si], it)
+		sc.hashes[si] = append(sc.hashes[si], h)
+		sc.counts[si] = append(sc.counts[si], c)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	hh "repro"
+	"repro/internal/persist"
 	"repro/internal/registry"
 )
 
@@ -334,13 +335,24 @@ func TestToolsDurabilityInspect(t *testing.T) {
 	if err := e.IngestBatch([]string{"c"}); err != nil {
 		t.Fatal(err)
 	}
+	// A counted record (the hhwire counted frame's body, logged
+	// verbatim): 5 occurrences in two pairs.
+	var cb registry.CountedBatch
+	if err := cb.Parse(registry.AppendCountedRecord(registry.AppendCountedRecord(nil, "a", 4), "d", 1), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.IngestCounted(&cb); err != nil {
+		t.Fatal(err)
+	}
 	if err := reg.Halt(); err != nil { // flush, no final snapshot: a live WAL tail remains
 		t.Fatal(err)
 	}
 
-	// Data-directory report: manifest summary re-verified, WAL tallied.
+	// Data-directory report: manifest summary re-verified, WAL tallied —
+	// the tail's batch record and counted record, 1 + 5 items.
 	out := run(t, hhstat, dataDir)
-	for _, want := range []string{"snapshot manifest", "queries", "[verified]", "covered through seq 2", "clean"} {
+	for _, want := range []string{"snapshot manifest", "queries", "[verified]", "covered through seq 3", "clean",
+		"1 batches + 1 counted (6 items)"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("hhstat on data dir missing %q:\n%s", want, out)
 		}
@@ -352,9 +364,23 @@ func TestToolsDurabilityInspect(t *testing.T) {
 		t.Fatalf("no WAL segments found: %v", err)
 	}
 	out = run(t, hhstat, segs[0])
-	for _, want := range []string{"WAL segment", "covered through seq 2"} {
+	for _, want := range []string{"WAL segment", "covered through seq 3"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("hhstat on WAL segment missing %q:\n%s", want, out)
+		}
+	}
+
+	// A CRC-valid counted record whose body is malformed (count 0) is
+	// flagged as a corrupt body, not counted.
+	bad := filepath.Join(dir, "bad.log")
+	seg := append([]byte("HHWL\x01\x00\x00\x00"), persist.EncodeRecord(nil, persist.KindCounted, 1, "queries", []byte{1, 'a', 0})...)
+	if err := os.WriteFile(bad, seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out = run(t, hhstat, bad)
+	for _, want := range []string{"0 batches + 1 counted (0 items)", "CORRUPT batch or counted bodies"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("hhstat on a malformed counted record missing %q:\n%s", want, out)
 		}
 	}
 
