@@ -9,6 +9,7 @@ package heavyhitters_test
 
 import (
 	"fmt"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -214,7 +215,7 @@ func TestShardedHotPathZeroAllocs(t *testing.T) {
 
 // TestCoalescedIngestZeroAllocs pins the in-batch coalescing path: the
 // open-addressing scratch table, per-shard key/hash/count arrays, and
-// the AddNBatch two-pass kernels must all run out of pooled memory at
+// the AddNBatch two-pass kernels must all run out of reused memory at
 // steady state — on dup-heavy batches and on the all-distinct worst
 // case alike.
 func TestCoalescedIngestZeroAllocs(t *testing.T) {
@@ -252,7 +253,7 @@ func TestCoalescedIngestZeroAllocs(t *testing.T) {
 // TestUpdateCountsZeroAllocs pins the counted-batch entry on the
 // registry's serving compositions (string keys, WithConcurrent,
 // WithArena, WithBorrowedKeys): the sharded tier's grouped partition
-// pass and the unsharded wrapper's pooled grouping scratch must both
+// pass and the unsharded wrapper's reused grouping scratch must both
 // run out of reused memory at steady state — on bodies that repeat
 // keys and on already-distinct ones.
 func TestUpdateCountsZeroAllocs(t *testing.T) {
@@ -272,5 +273,56 @@ func TestUpdateCountsZeroAllocs(t *testing.T) {
 		assertZeroAllocs(t, fmt.Sprintf("shards=%d", shards),
 			func() { sum.UpdateCounts(keys, counts) },
 			func() { sum.UpdateCounts(keys, counts) })
+	}
+}
+
+// TestBatchScratchSurvivesGC: a garbage collection empties every
+// sync.Pool, so a scratch workspace kept only there is rebuilt, and its
+// buffers regrown, by the next batch after a GC, and a GC landing inside
+// an AllocsPerRun loop would fail the 0-alloc tests above. Each summary
+// keeps one workspace out of the GC's reach: after two forced GCs (a
+// pool's victim cache survives one), the next call on each batch path
+// and on the sharded query path still allocates nothing. Mallocs is
+// read around that one call only.
+func TestBatchScratchSurvivesGC(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("race instrumentation allocates; allocation accounting is meaningless under -race")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ids := allocStream()[:4096]
+	keys := make([]string, len(ids))
+	counts := make([]uint32, len(ids))
+	for i, x := range ids {
+		keys[i] = strconv.FormatUint(x%300, 10)
+		counts[i] = uint32(1 + i%5)
+	}
+	served := []hh.Option{hh.WithCapacity(256), hh.WithConcurrent(), hh.WithArena(), hh.WithBorrowedKeys()}
+	sharded := hh.New[uint64](hh.WithCapacity(256), hh.WithShards(8))
+	// LOSSYCOUNTING does not coalesce: the partition-only batch path.
+	lossy := hh.New[uint64](hh.WithCapacity(256), hh.WithShards(8), hh.WithAlgorithm(hh.AlgoLossyCounting))
+	shardedStr := hh.New[string](append(served, hh.WithShards(8))...)
+	flatStr := hh.New[string](served...)
+	var buf []hh.WeightedEntry[uint64]
+	for _, tc := range []struct {
+		name string
+		call func()
+	}{
+		{"sharded8/uint64/UpdateBatch", func() { sharded.UpdateBatch(ids) }},
+		{"sharded8/uint64/lossycounting/UpdateBatch", func() { lossy.UpdateBatch(ids) }},
+		{"sharded8/uint64/TopAppend", func() { buf = sharded.TopAppend(buf[:0], 10) }},
+		{"sharded8/string-arena/UpdateBatch", func() { shardedStr.UpdateBatch(keys) }},
+		{"unsharded/string-arena/UpdateCounts", func() { flatStr.UpdateCounts(keys, counts) }},
+	} {
+		tc.call() // warm: track the working set, grow the scratch
+		tc.call()
+		runtime.GC()
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		tc.call()
+		runtime.ReadMemStats(&after)
+		if n := after.Mallocs - before.Mallocs; n != 0 {
+			t.Errorf("%s: %d allocations on the first call after two GCs, want 0", tc.name, n)
+		}
 	}
 }

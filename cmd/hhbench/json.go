@@ -113,7 +113,9 @@ func runJSON(path string, n uint64, universe int, seed uint64, m int, smoke bool
 	// frames into 8 shards, and all-distinct hashed keys into m=64k,
 	// where every item is a miss plus an eviction. The uint64 rows above
 	// hash with mix64 and the map index, so they cannot show what the
-	// string hash and the arena index cost.
+	// string hash and the arena index cost. The recovery row replays the
+	// burst frames from a WAL, as a durable daemon's boot does
+	// (recovery.go).
 	burstKeys := make([]string, len(burst))
 	for i, x := range burst {
 		burstKeys[i] = strconv.FormatUint(x, 10)
@@ -125,6 +127,7 @@ func runJSON(path string, n uint64, universe int, seed uint64, m int, smoke bool
 	for _, rec := range []benchjson.Record{
 		measureServed("burst-1.3-dup0.9", 8, m, burstKeys),
 		measureServed("all-distinct-hex", 0, servedDistinctM, hexKeys),
+		measureRecovery("burst-1.3-dup0.9", 8, m, burstKeys),
 	} {
 		report.Add(rec)
 		fmt.Fprintf(os.Stderr, "%-45s %8.2f M items/s  %6.1f ns/op  %.3f allocs/op\n",
@@ -343,39 +346,44 @@ func measureServed(workload string, shards, m int, keys []string) benchjson.Reco
 	return rec
 }
 
-// timeBatches feeds s to sum in jsonBatch-sized UpdateBatch calls: one
-// warming pass (filling counters and growing maps to steady state),
-// then measurePasses timed passes, reporting the fastest, with
-// allocation counters read around all of them. Warming first means the
-// reported allocs/op reflect the steady-state hot path, which is the
-// regression the CI gate guards — construction cost is a one-off.
+// timeBatches feeds s to sum in jsonBatch-sized UpdateBatch calls,
+// timed by timePasses.
 func timeBatches[K comparable](sum hh.Summary[K], s []K) benchjson.Record {
-	ingest := func() {
+	return timePasses(len(s), func() {
 		for lo := 0; lo < len(s); lo += jsonBatch {
 			sum.UpdateBatch(s[lo:min(lo+jsonBatch, len(s))])
 		}
-	}
-	ingest() // warm
+	})
+}
+
+// timePasses runs pass, which handles n items: one warming pass
+// (filling counters and growing maps to steady state), then
+// measurePasses timed passes, reporting the fastest, with allocation
+// counters read around all of them. Warming first means the reported
+// allocs/op reflect the steady-state hot path, which is the regression
+// the CI gate guards — construction cost is a one-off.
+func timePasses(n int, pass func()) benchjson.Record {
+	pass() // warm
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	var elapsed time.Duration
-	for pass := 0; pass < measurePasses; pass++ {
+	for p := 0; p < measurePasses; p++ {
 		start := time.Now()
-		ingest()
-		if d := time.Since(start); pass == 0 || d < elapsed {
+		pass()
+		if d := time.Since(start); p == 0 || d < elapsed {
 			elapsed = d
 		}
 	}
 	runtime.ReadMemStats(&after)
-	n := float64(len(s))
+	items := float64(n)
 	return benchjson.Record{
 		Batch:       jsonBatch,
-		Items:       uint64(len(s)),
-		NsPerOp:     float64(elapsed.Nanoseconds()) / n,
-		ItemsPerSec: n / elapsed.Seconds(),
-		AllocsPerOp: float64(after.Mallocs-before.Mallocs) / (n * measurePasses),
-		BytesPerOp:  float64(after.TotalAlloc-before.TotalAlloc) / (n * measurePasses),
+		Items:       uint64(n),
+		NsPerOp:     float64(elapsed.Nanoseconds()) / items,
+		ItemsPerSec: items / elapsed.Seconds(),
+		AllocsPerOp: float64(after.Mallocs-before.Mallocs) / (items * measurePasses),
+		BytesPerOp:  float64(after.TotalAlloc-before.TotalAlloc) / (items * measurePasses),
 	}
 }
 

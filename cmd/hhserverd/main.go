@@ -233,4 +233,10 @@ func printRecovery(rep registry.RecoveryReport) {
 		}
 		fmt.Printf("hhserverd recovered %q: seq %d, mass %.1f (%s)\n", s.Name, s.Seq, s.Mass, src)
 	}
+	var rate float64
+	if wal := rep.WALReplay.Seconds(); wal > 0 {
+		rate = float64(rep.ReplayedItems) / wal / 1e6
+	}
+	fmt.Printf("hhserverd durability: recovery took %.2f s (snapshot %.2f s, wal %.2f s, %.1f M items/s)\n",
+		(rep.SnapshotLoad + rep.WALReplay).Seconds(), rep.SnapshotLoad.Seconds(), rep.WALReplay.Seconds(), rate)
 }

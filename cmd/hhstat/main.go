@@ -121,11 +121,14 @@ type walTally struct {
 	// counted record's sum of counts.
 	items     int
 	badBodies int
-	seq       map[string]uint64
+	// seq points at each summary's covered sequence, so a record of a
+	// known summary updates it without copying the name.
+	seq map[string]*uint64
+	// pairs is the parse scratch every counted record reuses.
+	pairs registry.CountedBatch
 }
 
 func (w *walTally) add(rec persist.Record) error {
-	name := string(rec.Name)
 	switch rec.Kind {
 	case persist.KindBatch:
 		w.batches++
@@ -138,9 +141,8 @@ func (w *walTally) add(rec persist.Record) error {
 		w.counted++
 		// The daemon's own parser, without its per-body occurrence
 		// bound (a daemon with a larger max_body_bytes may log more).
-		var b registry.CountedBatch
-		if err := b.Parse(rec.Body, math.MaxInt64); err == nil {
-			w.items += int(b.Items)
+		if err := w.pairs.Parse(rec.Body, math.MaxInt64); err == nil {
+			w.items += int(w.pairs.Items)
 		} else {
 			w.badBodies++
 		}
@@ -149,9 +151,15 @@ func (w *walTally) add(rec persist.Record) error {
 	case persist.KindBlob:
 		w.blobs++
 	}
-	if rec.Seq > w.seq[name] {
-		w.seq[name] = rec.Seq
+	if rec.Seq == 0 {
+		return nil // a create record: no sequence
 	}
+	seq := w.seq[string(rec.Name)]
+	if seq == nil {
+		seq = new(uint64)
+		w.seq[string(rec.Name)] = seq
+	}
+	*seq = max(*seq, rec.Seq)
 	return nil
 }
 
@@ -182,14 +190,14 @@ func (w *walTally) print(tw *tabwriter.Writer) {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		fmt.Fprintf(tw, "  %s\tcovered through seq %d\n", name, w.seq[name])
+		fmt.Fprintf(tw, "  %s\tcovered through seq %d\n", name, *w.seq[name])
 	}
 }
 
 // reportWALSegment scans one segment file the way recovery's final
 // segment is scanned: a torn tail is reported, not fatal.
 func reportWALSegment(r io.Reader) {
-	tally := &walTally{seq: make(map[string]uint64)}
+	tally := &walTally{seq: make(map[string]*uint64)}
 	rep, err := persist.ScanSegment(r, persist.DefaultMaxRecordBytes, true, tally.add)
 	if err != nil {
 		fatalf("scanning WAL segment: %v", err)
@@ -265,7 +273,7 @@ func reportDataDir(dir string) {
 	} else {
 		reportManifest(man, snapDir)
 	}
-	tally := &walTally{seq: make(map[string]uint64)}
+	tally := &walTally{seq: make(map[string]*uint64)}
 	rep, err := persist.ScanWAL(walDir, 0, persist.DefaultMaxRecordBytes, tally.add)
 	if err != nil {
 		fatalf("scanning WAL: %v", err)

@@ -12,7 +12,7 @@ import (
 func meanCoalesceProbe[K comparable](t *testing.T, keys []K) float64 {
 	t.Helper()
 	b := New[K](WithShards(8)).(*summary[K]).be.(*shardedBackend[K])
-	sc := b.pool.Get().(*batchScratch[K]).reset()
+	sc := b.scratch.get().reset()
 	groupInto(sc, b.hash, keys, nil)
 	held, mean := sc.tab.MeanProbe()
 	if held != len(keys) {

@@ -45,6 +45,11 @@ type RecoveryReport struct {
 	Deduped         int
 	SkippedCreates  int
 	Unroutable      int
+	// SnapshotLoad and WALReplay time the two recovery phases: reading,
+	// verifying and absorbing the committed snapshot, then scanning,
+	// applying and sealing the WAL tail.
+	SnapshotLoad time.Duration
+	WALReplay    time.Duration
 }
 
 // RecoveredSummary is one summary's recovery outcome.
@@ -109,6 +114,7 @@ func (r *Registry) openDurability(spec hh.DurabilitySpec, maxBody int64) error {
 	r.snapEvery = res.SnapshotInterval
 	r.recovery = RecoveryReport{Enabled: true, DataDir: res.Dir}
 
+	start := time.Now()
 	man, snapDir, blobs, err := store.LoadSnapshot()
 	if err != nil {
 		return err
@@ -149,7 +155,12 @@ func (r *Registry) openDurability(spec hh.DurabilitySpec, maxBody int64) error {
 			e.walSeq.Store(ms.Seq)
 		}
 	}
-	rep, err := store.ReplayWAL(r.applyRecord)
+	r.recovery.SnapshotLoad = time.Since(start)
+	// The replay pass, and with it the decode scratch and the key views
+	// into the scanner's buffers, is dropped when the scan returns.
+	start = time.Now()
+	rep, err := store.ReplayWAL((&replay{r: r}).applyRecord)
+	r.recovery.WALReplay = time.Since(start)
 	r.recovery.WAL = rep
 	if err != nil {
 		return err
@@ -182,16 +193,28 @@ func (e *Entry) recoveredMass() float64 {
 	return e.live.N() + remote
 }
 
+// replay is one WAL replay pass: the registry it recovers into, plus
+// the decode scratch its batch and counted records share, so replaying
+// them allocates nothing per record. The keys in the scratch are
+// borrowed views into the scanner's read buffer (the summaries clone
+// what they retain), valid only inside one applyRecord call.
+type replay struct {
+	r       *Registry
+	keys    []string
+	counted CountedBatch
+}
+
 // applyRecord consumes one replayed WAL record. Replay is at least
 // once: a record may be covered by the snapshot, or delivered again if
 // a tail is replayed twice, so every apply is gated on the record's
 // sequence exceeding the summary's — which makes double replay a
 // structural no-op (the replay-idempotence property the e2e crash test
 // pins end to end).
-func (r *Registry) applyRecord(rec persist.Record) error {
-	name := string(rec.Name)
+func (p *replay) applyRecord(rec persist.Record) error {
+	r := p.r
 	switch rec.Kind {
 	case persist.KindCreate:
+		name := string(rec.Name)
 		if _, ok := r.Get(name); ok {
 			r.recovery.SkippedCreates++
 			return nil
@@ -205,7 +228,9 @@ func (r *Registry) applyRecord(rec persist.Record) error {
 		}
 		return nil
 	case persist.KindBatch, persist.KindCounted:
-		e, ok := r.Get(name)
+		// The lookup only reads the name, so a view of the record's bytes
+		// serves it without a copy.
+		e, ok := r.Get(unsafeString(rec.Name))
 		if !ok || !e.durable {
 			r.recovery.Unroutable++
 			return nil
@@ -225,15 +250,15 @@ func (r *Registry) applyRecord(rec persist.Record) error {
 			what  = "batch"
 		)
 		if rec.Kind == persist.KindBatch {
-			keys, err = AppendBinaryKeysBorrowed(nil, rec.Body)
-			items = len(keys)
+			p.keys, err = AppendBinaryKeysBorrowed(p.keys[:0], rec.Body)
+			keys, items = p.keys, len(p.keys)
 		} else {
-			b, what = new(CountedBatch), "counted"
+			b, what = &p.counted, "counted"
 			err = b.Parse(rec.Body, r.maxBody)
 			items = int(b.Items)
 		}
 		if err != nil {
-			return fmt.Errorf("%s record for %q (seq %d): %w", what, name, rec.Seq, err)
+			return fmt.Errorf("%s record for %q (seq %d): %w", what, rec.Name, rec.Seq, err)
 		}
 		e.apply(keys, b)
 		e.walSeq.Store(rec.Seq)
@@ -241,7 +266,7 @@ func (r *Registry) applyRecord(rec persist.Record) error {
 		r.recovery.ReplayedItems += items
 		return nil
 	case persist.KindBlob:
-		e, ok := r.Get(name)
+		e, ok := r.Get(unsafeString(rec.Name))
 		if !ok || !e.durable {
 			r.recovery.Unroutable++
 			return nil
@@ -252,10 +277,10 @@ func (r *Registry) applyRecord(rec persist.Record) error {
 		}
 		dec, err := hh.Decode[string](bytes.NewReader(rec.Body))
 		if err != nil {
-			return fmt.Errorf("blob record for %q (seq %d): %w", name, rec.Seq, err)
+			return fmt.Errorf("blob record for %q (seq %d): %w", rec.Name, rec.Seq, err)
 		}
 		if _, err := e.absorbDecoded(dec, false); err != nil {
-			return fmt.Errorf("blob record for %q (seq %d): %w", name, rec.Seq, err)
+			return fmt.Errorf("blob record for %q (seq %d): %w", rec.Name, rec.Seq, err)
 		}
 		e.walSeq.Store(rec.Seq)
 		r.recovery.ReplayedBlobs++

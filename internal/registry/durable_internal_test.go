@@ -1,7 +1,7 @@
 package registry
 
 // White-box replay-idempotence property: applying any WAL record twice
-// (or any already-covered record) through applyRecord leaves the
+// (or any already-covered record) through replay.applyRecord leaves the
 // registry structurally unchanged. The black-box tests cover the same
 // property at the daemon level; this one pins the mechanism — the
 // per-summary sequence gate — directly.
@@ -10,10 +10,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"strconv"
 	"testing"
 
 	hh "repro"
 	"repro/internal/persist"
+	"repro/internal/testutil"
 )
 
 func batchBody(keys ...string) []byte {
@@ -40,11 +42,12 @@ func newDurableRegistry(t *testing.T, summaries map[string]hh.Spec) *Registry {
 
 func TestApplyRecordIdempotent(t *testing.T) {
 	r := newDurableRegistry(t, map[string]hh.Spec{"s": {Capacity: 64}})
+	rp := &replay{r: r}
 	e, _ := r.Get("s")
 
 	rec := persist.Record{Kind: persist.KindBatch, Seq: 1, Name: []byte("s"), Body: batchBody("a", "b", "a")}
 	for i := 0; i < 3; i++ {
-		if err := r.applyRecord(rec); err != nil {
+		if err := rp.applyRecord(rec); err != nil {
 			t.Fatalf("apply %d: %v", i, err)
 		}
 	}
@@ -61,14 +64,14 @@ func TestApplyRecordIdempotent(t *testing.T) {
 	// A record at or below the pin (a snapshot already covering it) is
 	// skipped even when it was never replayed in this process.
 	e.walSeq.Store(10)
-	if err := r.applyRecord(persist.Record{Kind: persist.KindBatch, Seq: 5, Name: []byte("s"), Body: batchBody("z")}); err != nil {
+	if err := rp.applyRecord(persist.Record{Kind: persist.KindBatch, Seq: 5, Name: []byte("s"), Body: batchBody("z")}); err != nil {
 		t.Fatal(err)
 	}
 	if n := e.live.N(); n != 3 {
 		t.Fatalf("covered record applied: N = %.0f, want 3", n)
 	}
 	// A record past the pin applies and advances it.
-	if err := r.applyRecord(persist.Record{Kind: persist.KindBatch, Seq: 11, Name: []byte("s"), Body: batchBody("z")}); err != nil {
+	if err := rp.applyRecord(persist.Record{Kind: persist.KindBatch, Seq: 11, Name: []byte("s"), Body: batchBody("z")}); err != nil {
 		t.Fatal(err)
 	}
 	if n, seq := e.live.N(), e.walSeq.Load(); n != 4 || seq != 11 {
@@ -82,11 +85,12 @@ func TestApplyRecordIdempotent(t *testing.T) {
 // like them.
 func TestApplyRecordCountedIdempotent(t *testing.T) {
 	r := newDurableRegistry(t, map[string]hh.Spec{"s": {Capacity: 64}})
+	rp := &replay{r: r}
 	e, _ := r.Get("s")
 	body := AppendCountedRecord(AppendCountedRecord(nil, "a", 3), "b", 2)
 	rec := persist.Record{Kind: persist.KindCounted, Seq: 1, Name: []byte("s"), Body: body}
 	for i := 0; i < 3; i++ {
-		if err := r.applyRecord(rec); err != nil {
+		if err := rp.applyRecord(rec); err != nil {
 			t.Fatalf("apply %d: %v", i, err)
 		}
 	}
@@ -97,25 +101,26 @@ func TestApplyRecordCountedIdempotent(t *testing.T) {
 		t.Fatalf("recovery counters = %+v, want 1 applied (5 items), 2 deduped", r.recovery)
 	}
 	e.walSeq.Store(10)
-	if err := r.applyRecord(persist.Record{Kind: persist.KindCounted, Seq: 9, Name: []byte("s"), Body: body}); err != nil {
+	if err := rp.applyRecord(persist.Record{Kind: persist.KindCounted, Seq: 9, Name: []byte("s"), Body: body}); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.applyRecord(persist.Record{Kind: persist.KindCounted, Seq: 11, Name: []byte("s"), Body: body}); err != nil {
+	if err := rp.applyRecord(persist.Record{Kind: persist.KindCounted, Seq: 11, Name: []byte("s"), Body: body}); err != nil {
 		t.Fatal(err)
 	}
 	if n, seq := e.live.N(), e.walSeq.Load(); n != 10 || seq != 11 {
 		t.Fatalf("after covered seq 9 and new seq 11: N = %.0f, seq = %d; want 10, 11", n, seq)
 	}
-	if err := r.applyRecord(persist.Record{Kind: persist.KindCounted, Seq: 1, Name: []byte("gone"), Body: body}); err != nil || r.recovery.Unroutable != 1 {
+	if err := rp.applyRecord(persist.Record{Kind: persist.KindCounted, Seq: 1, Name: []byte("gone"), Body: body}); err != nil || r.recovery.Unroutable != 1 {
 		t.Fatalf("unroutable counted record: %v, Unroutable = %d", err, r.recovery.Unroutable)
 	}
-	if err := r.applyRecord(persist.Record{Kind: persist.KindCounted, Seq: 12, Name: []byte("s"), Body: []byte{1, 'a', 0}}); err == nil {
+	if err := rp.applyRecord(persist.Record{Kind: persist.KindCounted, Seq: 12, Name: []byte("s"), Body: []byte{1, 'a', 0}}); err == nil {
 		t.Fatal("malformed counted body accepted")
 	}
 }
 
 func TestApplyRecordBlobIdempotent(t *testing.T) {
 	r := newDurableRegistry(t, map[string]hh.Spec{"s": {Capacity: 64}})
+	rp := &replay{r: r}
 	e, _ := r.Get("s")
 	remote := hh.New[string](hh.WithCapacity(64))
 	remote.UpdateBatch([]string{"x", "x", "y"})
@@ -125,7 +130,7 @@ func TestApplyRecordBlobIdempotent(t *testing.T) {
 	}
 	rec := persist.Record{Kind: persist.KindBlob, Seq: 1, Name: []byte("s"), Body: buf.Bytes()}
 	for i := 0; i < 2; i++ {
-		if err := r.applyRecord(rec); err != nil {
+		if err := rp.applyRecord(rec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -142,11 +147,12 @@ func TestApplyRecordRouting(t *testing.T) {
 		"s":   {Capacity: 64},
 		"eph": {Capacity: 64, Ephemeral: true},
 	})
+	rp := &replay{r: r}
 	// A record for a name with no durable summary (removed stanza, or one
 	// flipped ephemeral between lives) is counted and dropped, not fatal:
 	// recovery must finish with whatever state is still routable.
 	for _, name := range []string{"gone", "eph"} {
-		if err := r.applyRecord(persist.Record{Kind: persist.KindBatch, Seq: 1, Name: []byte(name), Body: batchBody("a")}); err != nil {
+		if err := rp.applyRecord(persist.Record{Kind: persist.KindBatch, Seq: 1, Name: []byte(name), Body: batchBody("a")}); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
@@ -157,7 +163,7 @@ func TestApplyRecordRouting(t *testing.T) {
 	// skipped.
 	spec := []byte(`{"capacity":32}`)
 	for i := 0; i < 2; i++ {
-		if err := r.applyRecord(persist.Record{Kind: persist.KindCreate, Name: []byte("put-at-runtime"), Body: spec}); err != nil {
+		if err := rp.applyRecord(persist.Record{Kind: persist.KindCreate, Name: []byte("put-at-runtime"), Body: spec}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -168,11 +174,51 @@ func TestApplyRecordRouting(t *testing.T) {
 		t.Fatalf("SkippedCreates = %d, want 1", r.recovery.SkippedCreates)
 	}
 	// Corrupt bodies are errors (CRC passed, so this is real damage).
-	if err := r.applyRecord(persist.Record{Kind: persist.KindCreate, Name: []byte("bad"), Body: []byte("{")}); err == nil {
+	if err := rp.applyRecord(persist.Record{Kind: persist.KindCreate, Name: []byte("bad"), Body: []byte("{")}); err == nil {
 		t.Fatal("malformed create body accepted")
 	}
-	if err := r.applyRecord(persist.Record{Kind: persist.KindBatch, Seq: 1, Name: []byte("s"), Body: []byte{0xFF}}); err == nil {
+	if err := rp.applyRecord(persist.Record{Kind: persist.KindBatch, Seq: 1, Name: []byte("s"), Body: []byte{0xFF}}); err == nil {
 		t.Fatal("malformed batch body accepted")
+	}
+}
+
+// TestReplayZeroAllocs pins the replay memory contract
+// (docs/DURABILITY.md §5.2): once a pass has decoded one batch and one
+// counted record, the next of each decodes into the pass's reused
+// scratch and applies without a single allocation — on the sharded and
+// the unsharded composition.
+func TestReplayZeroAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("race instrumentation allocates; allocation accounting is meaningless under -race")
+	}
+	keys := make([]string, 4096)
+	for i := range keys {
+		keys[i] = strconv.Itoa(i % 700)
+	}
+	batch := batchBody(keys...)
+	var counted []byte
+	for i := 0; i < 500; i++ {
+		counted = AppendCountedRecord(counted, strconv.Itoa(i%400), uint32(1+i%4))
+	}
+	name := []byte("s")
+	for _, shards := range []int{0, 8} {
+		r := newDurableRegistry(t, map[string]hh.Spec{"s": {Capacity: 1024, Shards: shards}})
+		rp := &replay{r: r}
+		var seq uint64
+		apply := func(kind byte, body []byte) {
+			seq++
+			if err := rp.applyRecord(persist.Record{Kind: kind, Seq: seq, Name: name, Body: body}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		apply(persist.KindBatch, batch) // warm: grow the scratch, track the working set
+		apply(persist.KindCounted, counted)
+		if avg := testing.AllocsPerRun(10, func() {
+			apply(persist.KindBatch, batch)
+			apply(persist.KindCounted, counted)
+		}); avg != 0 {
+			t.Errorf("shards=%d: %.2f allocs per replayed batch + counted record, want 0", shards, avg)
+		}
 	}
 }
 

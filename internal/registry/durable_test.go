@@ -9,7 +9,10 @@ package registry_test
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	hh "repro"
@@ -504,5 +507,177 @@ func writeDataDir(t *testing.T, dir, spec string, keys []string) {
 	logBatches("wal", &walSeq, keys, false)
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDurableReplayRoundTripBytes: a reboot reproduces every summary's
+// encoding byte for byte while record sizes rise and fall — v1 batches
+// of 4096, 1 and 300 keys (among them the empty key and a 5 KB key),
+// counted bodies that repeat keys, and a /merge blob between them — so
+// a decode scratch reused across records cannot carry a stale tail into
+// a replayed batch. A second reboot replays the same tail again and
+// must give the same bytes.
+func TestDurableReplayRoundTripBytes(t *testing.T) {
+	names := []string{"flat", "sharded"}
+	cfg := durableConfig(t.TempDir(), map[string]hh.Spec{
+		"flat":    {Capacity: 256},
+		"sharded": {Capacity: 256, Shards: 8},
+	})
+	keys := zipfKeys(1000, 4096, 13)
+	big := strings.Repeat("k", 5000)
+	mixed := append([]string{big, ""}, keys[:298]...)
+	var countedBig []byte
+	for i, k := range keys[:1000] { // zipf keys: the body repeats many
+		countedBig = registry.AppendCountedRecord(countedBig, k, uint32(1+i%3))
+	}
+	countedSmall := countedBody(big, uint32(2), "", uint32(1), big, uint32(3))
+	remote := hh.New[string](hh.WithCapacity(64))
+	remote.UpdateBatch(keys[:500])
+	var blob bytes.Buffer
+	if err := remote.Encode(&blob); err != nil {
+		t.Fatal(err)
+	}
+
+	reg, err := registry.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b registry.CountedBatch
+	for _, name := range names {
+		e, _ := reg.Get(name)
+		counted := func(body []byte) error {
+			if err := b.Parse(body, 0); err != nil {
+				return err
+			}
+			return e.IngestCounted(&b)
+		}
+		for i, step := range []func() error{
+			func() error { return e.IngestBatch(keys) },
+			func() error { return counted(countedBig) },
+			func() error { return e.IngestBatch([]string{""}) },
+			func() error { return counted(countedSmall) },
+			func() error {
+				_, err := e.AbsorbBlob(bytes.NewReader(blob.Bytes()))
+				return err
+			},
+			func() error { return e.IngestBatch(mixed) },
+			func() error { return e.IngestBatch(keys[7:8]) },
+			func() error { return counted(countedSmall) },
+		} {
+			if err := step(); err != nil {
+				t.Fatalf("%s, step %d: %v", name, i, err)
+			}
+		}
+	}
+	encode := func(reg *registry.Registry) map[string][]byte {
+		t.Helper()
+		out := map[string][]byte{}
+		for _, name := range names {
+			e, ok := reg.Get(name)
+			if !ok {
+				t.Fatalf("%s missing", name)
+			}
+			v, err := e.View()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var live, view bytes.Buffer
+			if err := e.Live().Encode(&live); err != nil {
+				t.Fatal(err)
+			}
+			if err := v.Encode(&view); err != nil {
+				t.Fatal(err)
+			}
+			out[name+" live"], out[name+" view"] = live.Bytes(), view.Bytes()
+		}
+		return out
+	}
+	want := encode(reg)
+	if err := reg.Halt(); err != nil {
+		t.Fatal(err)
+	}
+	for boot := 1; boot <= 2; boot++ {
+		reg2, err := registry.New(cfg)
+		if err != nil {
+			t.Fatalf("boot %d: %v", boot, err)
+		}
+		if rep := reg2.Recovery(); rep.ReplayedBatches != 14 || rep.ReplayedBlobs != 2 {
+			t.Errorf("boot %d: replayed %d records and %d blobs, want 14 and 2", boot, rep.ReplayedBatches, rep.ReplayedBlobs)
+		}
+		for what, w := range encode(reg2) {
+			if !bytes.Equal(w, want[what]) {
+				t.Errorf("boot %d: %s encoding differs from the pre-Halt bytes", boot, what)
+			}
+		}
+		if err := reg2.Halt(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestDurableCorruptRecordAfterLarger: a CRC-valid record whose body
+// does not parse fails the boot with the error naming its kind, summary
+// and sequence — also right after a larger valid record of its kind,
+// whose decode left the replay scratch grown and full.
+func TestDurableCorruptRecordAfterLarger(t *testing.T) {
+	keys := zipfKeys(300, 4096, 17)
+	var counted []byte
+	for i, k := range keys[:1000] {
+		counted = registry.AppendCountedRecord(counted, k, uint32(1+i%3))
+	}
+	for _, tc := range []struct {
+		kind    byte
+		valid   func(*persist.Store, *persist.Seq) error
+		corrupt []byte
+		want    string
+	}{
+		{
+			persist.KindBatch,
+			func(s *persist.Store, seq *persist.Seq) error { return s.AppendBatch("s", seq, keys) },
+			// Two whole keys, then a length running past the body.
+			append(registry.AppendBinaryRecord(registry.AppendBinaryRecord(nil, "a"), "b"), 9, 'c'),
+			`registry: durability: persist: wal-0000000000000001.log: batch record for "s" (seq 2): registry: record at byte 4: key length 9 runs past the body`,
+		},
+		{
+			persist.KindCounted,
+			func(s *persist.Store, seq *persist.Seq) error { return s.AppendCounted("s", seq, counted) },
+			// Two whole pairs, then a count of 0.
+			append(countedBody("a", uint32(2), "b", uint32(1)), 1, 'c', 0),
+			`registry: durability: persist: wal-0000000000000001.log: counted record for "s" (seq 2): registry: counted record at byte 6: count 0 outside [1, 4294967295]`,
+		},
+	} {
+		dir := t.TempDir()
+		store, err := persist.Open(persist.Options{Dir: dir, Fsync: persist.FsyncRotate})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var seq persist.Seq
+		if err := store.AppendCreate("s", []byte(`{"capacity":64,"shards":8}`)); err != nil {
+			t.Fatal(err)
+		}
+		if err := tc.valid(store, &seq); err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Close(); err != nil {
+			t.Fatal(err)
+		}
+		segs, err := filepath.Glob(filepath.Join(dir, persist.WALDirName, "*.log"))
+		if err != nil || len(segs) != 1 {
+			t.Fatalf("WAL segments %v, %v; want one", segs, err)
+		}
+		f, err := os.OpenFile(segs[0], os.O_APPEND|os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = f.Write(persist.EncodeRecord(nil, tc.kind, 2, "s", tc.corrupt))
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := registry.New(durableConfig(dir, nil)); err == nil || err.Error() != tc.want {
+			t.Errorf("boot error %v, want %s", err, tc.want)
+		}
 	}
 }

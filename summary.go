@@ -9,6 +9,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/coalesce"
 	"repro/internal/core"
@@ -379,15 +380,15 @@ type summary[K comparable] struct {
 
 	// UpdateCounts plumbing. A sharded composition groups counted pairs
 	// in its own partition pass; an unsharded one is grouped here, in
-	// pooled scratch, pooled because a WithConcurrent summary takes
-	// counted batches from many goroutines and the grouping runs before
-	// the write lock. hash is the composition's key hash (the closure
-	// the backends share), so grouped hashes feed the arena kernels
-	// unchanged.
+	// one-bucket scratch taken per call, because a WithConcurrent
+	// summary takes counted batches from many goroutines and the
+	// grouping runs before the write lock. hash is the composition's key
+	// hash (the closure the backends share), so grouped hashes feed the
+	// arena kernels unchanged.
 	hash     func(K) uint64 //hh:noalloc
 	sharded  bool
 	coalesce bool
-	scratch  sync.Pool // *batchScratch[K], one bucket
+	scratch  parkedPool[batchScratch[K]]
 }
 
 // newSummary wraps be. hash must be the composition's key hash;
@@ -395,7 +396,7 @@ type summary[K comparable] struct {
 func newSummary[K comparable](algo Algo, be backend[K], hash func(K) uint64, sharded, coalesce bool) *summary[K] {
 	//hh:allocok hash is a keyHasher closure; its branches call only mix64/fnv1a/maphash.Comparable
 	s := &summary[K]{algo: algo, be: be, hash: hash, sharded: sharded, coalesce: coalesce}
-	s.scratch.New = func() any { return newBatchScratch[K](1) }
+	s.scratch.pool.New = func() any { return newBatchScratch[K](1) }
 	return s
 }
 
@@ -423,13 +424,13 @@ func (s *summary[K]) UpdateCounts(items []K, counts []uint32) {
 		// The sharded tier partitions and groups in one pass.
 		s.be.updateBatchN(items, counts, nil)
 	default:
-		g := s.scratch.Get().(*batchScratch[K]).reset()
+		g := s.scratch.get().reset()
 		groupInto(g, s.hash, items, counts)
 		if len(g.keys[0]) > 0 {
 			s.be.updateBatchN(g.keys[0], g.counts[0], g.hashes[0])
 		}
 		g.dropKeys()
-		s.scratch.Put(g)
+		s.scratch.put(g)
 	}
 }
 
@@ -893,13 +894,13 @@ type shardedBackend[K comparable] struct {
 	// of the added item, so it can exceed the unit-loop state). See
 	// config.coalescible.
 	coalesce bool
-	// pool recycles batch-partition scratch buffers (one per concurrent
-	// UpdateBatch in flight), so steady-state batch ingestion performs
-	// no per-batch bucket allocations.
-	pool sync.Pool
-	// mergePool recycles the run-merge workspace of aggregate queries
+	// scratch hands each UpdateBatch in flight its partition buffers,
+	// so steady-state batch ingestion performs no per-batch bucket
+	// allocations.
+	scratch parkedPool[batchScratch[K]]
+	// mergeScratch recycles the run-merge workspace of aggregate queries
 	// (one per concurrent appendEntries in flight).
-	mergePool sync.Pool
+	mergeScratch parkedPool[shardMergeScratch[K]]
 }
 
 // shardMergeScratch is the reusable workspace of one sharded
@@ -944,7 +945,7 @@ func (sc *batchScratch[K]) reset() *batchScratch[K] {
 	return sc
 }
 
-// dropKeys clears the buckets' key references before sc is pooled, so
+// dropKeys clears the buckets' key references before sc is parked, so
 // a parked workspace cannot pin the previous batch's keys (or a
 // borrowed frame buffer) in memory.
 //
@@ -955,14 +956,44 @@ func (sc *batchScratch[K]) dropKeys() {
 	}
 }
 
+// parkedPool recycles one kind of workspace. One workspace is parked
+// where a garbage collection cannot drain it, so a lone caller never
+// allocates, not even right after a GC has emptied every sync.Pool;
+// only a caller that finds it taken by a concurrent one falls back to
+// the pool, whose New builds a fresh workspace.
+type parkedPool[T any] struct {
+	parked atomic.Pointer[T]
+	pool   sync.Pool // *T
+}
+
+// get takes the parked workspace, or a pooled one when a concurrent
+// caller holds it.
+//
+//hh:noalloc
+func (p *parkedPool[T]) get() *T {
+	if x := p.parked.Swap(nil); x != nil {
+		return x
+	}
+	return p.pool.Get().(*T)
+}
+
+// put parks x, or pools it when another workspace is parked already.
+//
+//hh:noalloc
+func (p *parkedPool[T]) put(x *T) {
+	if !p.parked.CompareAndSwap(nil, x) {
+		p.pool.Put(x)
+	}
+}
+
 func newShardedBackend[K comparable](p int, coalesce bool, hash func(K) uint64, mk func(int) backend[K]) *shardedBackend[K] {
 	//hh:allocok hash is a keyHasher closure; its branches call only mix64/fnv1a/maphash.Comparable
 	b := &shardedBackend[K]{slots: make([]shardSlot[K], p), hash: hash, coalesce: coalesce}
 	for i := range b.slots {
 		b.slots[i].be = mk(i)
 	}
-	b.pool.New = func() any { return newBatchScratch[K](p) }
-	b.mergePool.New = func() any { return &shardMergeScratch[K]{} }
+	b.scratch.pool.New = func() any { return newBatchScratch[K](p) }
+	b.mergeScratch.pool.New = func() any { return &shardMergeScratch[K]{} }
 	return b
 }
 
@@ -999,7 +1030,7 @@ func (b *shardedBackend[K]) updateWeighted(item K, w float64) {
 // once under its lock — the amortization that makes batch ingestion the
 // fast path on sharded summaries. Each key is hashed exactly once: the
 // partition hash doubles as the key hash of sketch backends (both are
-// keyHasher(seed)), and the buckets live in pooled scratch buffers.
+// keyHasher(seed)), and the buckets live in reused scratch buffers.
 // Coalescing compositions additionally group the batch's duplicate keys
 // during partitioning and apply each group as one AddN — updateBatchN
 // with every count 1; see the coalesce field for its soundness
@@ -1022,7 +1053,7 @@ func (b *shardedBackend[K]) updateBatch(items []K, _ []uint64) {
 		sl.mu.Unlock()
 		return
 	}
-	sc := b.pool.Get().(*batchScratch[K]).reset()
+	sc := b.scratch.get().reset()
 	for _, it := range items {
 		h := b.hash(it)
 		i := h % p
@@ -1039,7 +1070,7 @@ func (b *shardedBackend[K]) updateBatch(items []K, _ []uint64) {
 		sl.mu.Unlock()
 	}
 	sc.dropKeys()
-	b.pool.Put(sc)
+	b.scratch.put(sc)
 }
 
 // updateBatchN is the grouped batch path: partition the pairs across
@@ -1053,7 +1084,7 @@ func (b *shardedBackend[K]) updateBatch(items []K, _ []uint64) {
 //
 //hh:noalloc
 func (b *shardedBackend[K]) updateBatchN(items []K, counts []uint32, _ []uint64) {
-	sc := b.pool.Get().(*batchScratch[K]).reset()
+	sc := b.scratch.get().reset()
 	groupInto(sc, b.hash, items, counts)
 	for i := range sc.keys {
 		if len(sc.keys[i]) == 0 {
@@ -1065,7 +1096,7 @@ func (b *shardedBackend[K]) updateBatchN(items []K, counts []uint32, _ []uint64)
 		sl.mu.Unlock()
 	}
 	sc.dropKeys()
-	b.pool.Put(sc)
+	b.scratch.put(sc)
 }
 
 // groupInto partitions items across the len(sc.keys) buckets of sc
@@ -1077,7 +1108,7 @@ func (b *shardedBackend[K]) updateBatchN(items []K, counts []uint32, _ []uint64)
 // candidate identity by comparing the full hash and then the key
 // itself (a colliding hash never merges distinct keys), and stores each
 // group's index inside its bucket — the bucket re-derives from h. It
-// grows to the high-water batch size and is pooled with the buckets,
+// grows to the high-water batch size and is reused with the buckets,
 // so the steady state allocates nothing.
 //
 //hh:noalloc
@@ -1135,7 +1166,7 @@ func (b *shardedBackend[K]) appendEntries(dst []WeightedEntry[K], max int) []Wei
 		return dst
 	}
 	start := len(dst)
-	sc := b.mergePool.Get().(*shardMergeScratch[K])
+	sc := b.mergeScratch.get()
 	bounds := append(sc.bounds[:0], 0)
 	for i := range b.slots {
 		sl := &b.slots[i]
@@ -1151,7 +1182,7 @@ func (b *shardedBackend[K]) appendEntries(dst []WeightedEntry[K], max int) []Wei
 	buf = buf[:cap(buf)]
 	clear(buf)
 	sc.buf = buf[:0]
-	b.mergePool.Put(sc)
+	b.mergeScratch.put(sc)
 	if max > 0 && len(dst)-start > max {
 		dst = dst[:start+max]
 	}
